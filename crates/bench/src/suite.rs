@@ -249,6 +249,21 @@ mod tests {
     use super::*;
 
     #[test]
+    fn stand_in_fingerprints_are_pinned() {
+        // The served Table I names resolve through `build_graph`, so the
+        // stand-ins' bytes are cache keys too: pinned like the R-MAT pins
+        // in the graph crate.
+        for (name, pin) in [
+            ("thermal2", 0x2367_b570_ccc3_8fac),
+            ("atmosmodd", 0xd23e_4018_c515_420e),
+            ("Hamrle3", 0x25c3_0905_e2e9_28a9),
+            ("G3_circuit", 0x4689_0a0f_2c85_c8c7),
+        ] {
+            assert_eq!(build_graph(name, 10).content_fingerprint(), pin, "{name}");
+        }
+    }
+
+    #[test]
     fn suite_builds_at_small_scale() {
         let suite = build_suite(12);
         assert_eq!(suite.len(), 6);

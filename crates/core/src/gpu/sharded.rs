@@ -118,6 +118,7 @@ use super::frontier::{ExchangeKind, FrontierFrame};
 use super::repair::{RepairEngine, JITTER_SPAN};
 use super::SpecGreedyDriver;
 use crate::{ColorError, ColorOptions, Coloring, Scheme};
+use gcol_graph::check::densify_colors;
 use gcol_graph::partition::{Partitioning, Shard};
 use gcol_graph::Csr;
 use gcol_simt::mem::Buffer;
@@ -209,8 +210,11 @@ pub fn color_sharded<B: Backend>(
         checkpoint,
     );
 
-    let finish = |profile: RunProfile, colors: Vec<u32>, iterations: usize| {
-        let num_colors = colors.iter().copied().max().unwrap_or(0) as usize;
+    // Exchange rounds can vacate a color the local pass used, so the
+    // result is renumbered to the dense `1..=k` contract by rank (host-side
+    // reporting, no modeled time; a no-op on already dense colors).
+    let finish = |profile: RunProfile, mut colors: Vec<u32>, iterations: usize| {
+        let num_colors = densify_colors(&mut colors);
         Ok(Coloring {
             scheme,
             colors,
@@ -437,7 +441,8 @@ pub fn color_sharded<B: Backend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcol_graph::check::verify_coloring;
+    use gcol_graph::check::{count_colors, verify_coloring};
+    use gcol_graph::gen::mesh2d;
     use gcol_graph::gen::simple::{complete, cycle, erdos_renyi};
     use gcol_simt::{Device, ExecMode, NativeBackend, Phase, SimtBackend};
 
@@ -591,6 +596,21 @@ mod tests {
         let r = color_sharded(Scheme::DataBase, &g, &simt_fleet(&dev, 2), &opts).unwrap();
         verify_coloring(&g, &r.colors).unwrap();
         assert_eq!(r.num_colors, 24);
+    }
+
+    #[test]
+    fn exchange_round_gaps_are_densified() {
+        // On this mesh at P = 2 the exchange rounds vacate one of the nine
+        // colors the local passes handed out; the reported colors must
+        // still be dense `1..=num_colors`, with num_colors distinct.
+        let dev = Device::tiny();
+        let g = mesh2d(22, 22, 0.10, 4);
+        let opts = ColorOptions::default();
+        let r = color_sharded(Scheme::DataBase, &g, &simt_fleet(&dev, 2), &opts).unwrap();
+        verify_coloring(&g, &r.colors).unwrap();
+        assert_eq!(r.num_colors, 8);
+        assert_eq!(count_colors(&r.colors), r.num_colors);
+        assert_eq!(r.colors.iter().copied().max(), Some(8));
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! The builder accepts arbitrary (possibly duplicated, possibly one-sided)
 //! edges and produces a clean [`Csr`]: optionally symmetrized, self-loops
 //! dropped, adjacency lists sorted and deduplicated. Construction is the
-//! standard two-pass counting sort, parallelized over vertices for the
-//! sort/dedup pass.
+//! standard two-pass counting sort (count, then place each edge in its
+//! row), followed by one sequential pass that sorts each row in place and
+//! compacts the deduplicated rows toward the front of the column array,
+//! so the build allocates nothing per vertex.
 
 use crate::csr::{Csr, VertexId};
-use rayon::prelude::*;
 
 /// Builds a [`Csr`] from a stream of edges.
 ///
@@ -122,8 +123,8 @@ impl CsrBuilder {
         for i in 0..n {
             counts[i + 1] += counts[i];
         }
-        let offsets = counts.clone();
-        let mut cols = vec![0 as VertexId; offsets[n] as usize];
+        let mut row_offsets = counts.clone();
+        let mut cols = vec![0 as VertexId; row_offsets[n] as usize];
         let mut cursor = counts;
         let place = |cursor: &mut [u32], cols: &mut [VertexId], u: VertexId, v: VertexId| {
             if u != v || self.keep_self_loops {
@@ -139,30 +140,31 @@ impl CsrBuilder {
             }
         }
 
-        // Sort + dedup each adjacency list in parallel, then repack.
-        let lists: Vec<Vec<VertexId>> = (0..n)
-            .into_par_iter()
-            .map(|v| {
-                let lo = offsets[v] as usize;
-                let hi = offsets[v + 1] as usize;
-                let mut list = cols[lo..hi].to_vec();
-                list.sort_unstable();
-                list.dedup();
-                list
-            })
-            .collect();
-        let mut row_offsets = Vec::with_capacity(n + 1);
-        row_offsets.push(0u32);
-        let mut total = 0u32;
-        for list in &lists {
-            total += list.len() as u32;
-            row_offsets.push(total);
+        // Sort + dedup each row in place, compacting the rows toward the
+        // front of `cols`. `row_offsets[v]` already holds row v's new start
+        // when the row is reached; `row_offsets[v + 1]` is read as its old
+        // end before being overwritten with its new one.
+        let mut lo = 0usize;
+        let mut len = 0usize;
+        for v in 0..n {
+            let start = len;
+            let hi = row_offsets[v + 1] as usize;
+            cols[lo..hi].sort_unstable();
+            for i in lo..hi {
+                let x = cols[i];
+                if len == start || cols[len - 1] != x {
+                    cols[len] = x;
+                    len += 1;
+                }
+            }
+            row_offsets[v + 1] = len as u32;
+            lo = hi;
         }
-        let mut col_indices = Vec::with_capacity(total as usize);
-        for list in lists {
-            col_indices.extend_from_slice(&list);
-        }
-        Csr::new(row_offsets, col_indices)
+        // Graphs outlive the build (the service memo keeps them), so drop
+        // the capacity the duplicates occupied.
+        cols.truncate(len);
+        cols.shrink_to_fit();
+        Csr::new(row_offsets, cols)
     }
 }
 

@@ -131,6 +131,30 @@ pub fn compact_colors(colors: &mut [Color]) -> usize {
     (next - 1) as usize
 }
 
+/// Renumbers a 1-based color assignment to the dense range `1..=k` by
+/// rank, so color order is kept, and returns `k`. Uncolored vertices (0)
+/// stay 0, and an already dense assignment is left untouched. Used where
+/// recoloring rounds can vacate a color the first pass handed out.
+pub fn densify_colors(colors: &mut [Color]) -> usize {
+    let max = colors.iter().copied().max().unwrap_or(0) as usize;
+    let mut rank = vec![0 as Color; max + 1];
+    for &c in colors.iter() {
+        rank[c as usize] = 1;
+    }
+    rank[0] = 0;
+    let mut k = 0;
+    for r in rank.iter_mut().filter(|r| **r != 0) {
+        k += 1;
+        *r = k;
+    }
+    if (k as usize) < max {
+        for c in colors.iter_mut() {
+            *c = rank[*c as usize];
+        }
+    }
+    k as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,6 +216,17 @@ mod tests {
         assert_eq!(count_conflicts(&g, &[1, 2, 3]), 0);
         // Uncolored vertices never conflict.
         assert_eq!(count_conflicts(&g, &[0, 0, 0]), 0);
+    }
+
+    #[test]
+    fn densify_colors_keeps_order_and_dense_input() {
+        let mut c = vec![5, 0, 2, 5, 9];
+        assert_eq!(densify_colors(&mut c), 3);
+        assert_eq!(c, vec![2, 0, 1, 2, 3]);
+        let mut dense = vec![2, 1, 3, 1];
+        assert_eq!(densify_colors(&mut dense), 3);
+        assert_eq!(dense, vec![2, 1, 3, 1]);
+        assert_eq!(densify_colors(&mut []), 0);
     }
 
     #[test]

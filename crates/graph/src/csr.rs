@@ -445,6 +445,24 @@ mod tests {
     }
 
     #[test]
+    fn generator_fingerprints_are_pinned() {
+        // The served graph names resolve to these generators, so their
+        // output is part of the same cache-key contract: a faster sampler
+        // or builder must reproduce every byte. The skewed graphs take the
+        // R-MAT noise path.
+        use crate::gen::{rmat, RmatParams};
+        let (er, sk) = (RmatParams::erdos_renyi, RmatParams::skewed);
+        for (params, seed, pin) in [
+            (er(12, 16), 7, 0xbc25_cc1e_d04f_ab64),
+            (sk(12, 16), 3, 0xa3b8_0e9b_4259_7853),
+            (er(14, 20), 1, 0x8cfa_accb_705c_2b9f),
+            (sk(14, 20), 1, 0x62f5_e22f_3bd7_67ac),
+        ] {
+            assert_eq!(rmat(params, seed).content_fingerprint(), pin, "{params:?}");
+        }
+    }
+
+    #[test]
     fn content_fingerprint_separates_structure() {
         let g = fig2_graph();
         // Same arrays -> same hash.

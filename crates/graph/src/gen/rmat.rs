@@ -6,6 +6,13 @@
 //! `(a, b, c, d)` at every level. `(0.25, 0.25, 0.25, 0.25)` yields an
 //! Erdős–Rényi-like graph (the paper's *rmat-er*); `(0.45, 0.15, 0.15,
 //! 0.25)` yields a skewed, power-law-ish graph (the paper's *rmat-g*).
+//!
+//! The sampler picks each level's quadrant branch-free: the index is the
+//! count of cumulative thresholds `a`, `a + b`, `a + b + c` the uniform
+//! draw reaches, and its two bits are the row and column bits. It makes
+//! the same draws, comparisons and noise updates in the same order as a
+//! four-way `if` ladder, so the output is bit-identical to one; the
+//! generator fingerprint pins in `csr.rs`'s tests hold it to that.
 
 use crate::builder::CsrBuilder;
 use crate::csr::{Csr, VertexId};
@@ -77,18 +84,13 @@ fn sample_edge(p: &RmatParams, rng: &mut Xoshiro256) -> (VertexId, VertexId) {
     let (mut a, mut b, mut c, mut d) = (p.a, p.b, p.c, p.d);
     let (mut u, mut v) = (0u32, 0u32);
     for level in (0..p.scale).rev() {
-        let bit = 1u32 << level;
+        // Quadrant 0..=3 (top-left, top-right, bottom-left, bottom-right):
+        // a branch per threshold would mispredict about half the time on
+        // a uniform draw, so the comparisons are summed instead.
         let r = rng.next_f64();
-        if r < a {
-            // top-left: neither bit set
-        } else if r < a + b {
-            v |= bit;
-        } else if r < a + b + c {
-            u |= bit;
-        } else {
-            u |= bit;
-            v |= bit;
-        }
+        let q = (r >= a) as u32 + (r >= a + b) as u32 + (r >= a + b + c) as u32;
+        u |= (q >> 1) << level;
+        v |= (q & 1) << level;
         if p.noise {
             // Multiplicative ±10% noise, renormalized (Chakrabarti et al.).
             let na = a * (0.9 + 0.2 * rng.next_f64());

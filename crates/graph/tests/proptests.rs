@@ -27,6 +27,47 @@ proptest! {
     }
 
     #[test]
+    fn builder_matches_naive_per_row_sort_dedup((n, edges) in arb_graph_inputs(),
+                                                dups in 0usize..50,
+                                                symmetrize in any::<bool>(),
+                                                keep_loops in any::<bool>()) {
+        // Re-add a prefix of the edges and every vertex's self loop, so
+        // each case carries duplicate edges and loops for both switches.
+        let mut all = edges.clone();
+        all.extend(edges.iter().copied().take(dups));
+        all.extend((0..n as VertexId).map(|v| (v, v)));
+        let mut b = CsrBuilder::new(n);
+        b.add_edges(all.iter().copied());
+        if symmetrize {
+            b.symmetrize();
+        }
+        if keep_loops {
+            b.keep_self_loops();
+        }
+        let g = b.build();
+
+        let mut rows = vec![Vec::new(); n];
+        for &(u, v) in &all {
+            if u != v || keep_loops {
+                rows[u as usize].push(v);
+                if symmetrize {
+                    rows[v as usize].push(u);
+                }
+            }
+        }
+        let mut row_offsets = vec![0u32];
+        let mut cols = Vec::new();
+        for mut row in rows {
+            row.sort_unstable();
+            row.dedup();
+            cols.extend(row);
+            row_offsets.push(cols.len() as u32);
+        }
+        prop_assert_eq!(g.row_offsets(), row_offsets.as_slice());
+        prop_assert_eq!(g.col_indices(), cols.as_slice());
+    }
+
+    #[test]
     fn symmetrize_doubles_membership((n, edges) in arb_graph_inputs()) {
         let g = from_undirected_edges(n, edges.clone());
         for (u, v) in edges {

@@ -294,6 +294,9 @@ fn parse_spec(v: &Json) -> Result<SpecRequest, String> {
         opts.seed = s;
     }
     if let Some(b) = v.get("block").and_then(Json::as_u64) {
+        if !(1..=1024).contains(&b) {
+            return Err(format!("\"block\" must be in 1..=1024, got {b}"));
+        }
         opts.block_size = b as u32;
     }
     if let Some(h) = v.get("hashes").and_then(Json::as_u64) {
@@ -863,6 +866,9 @@ mod tests {
             r#"{"graph":{"r":[0],"c":[]},"scheme":"nope"}"#,
             r#"{"graph":{"r":[0,1],"c":[9]}}"#,
             r#"{"graph":{"r":[0,0],"c":[]},"shards":0}"#,
+            r#"{"graph":{"r":[0,0],"c":[]},"block":0}"#,
+            r#"{"graph":{"r":[0,0],"c":[]},"block":1025}"#,
+            r#"{"graph":{"r":[0,0],"c":[]},"block":4294967296}"#,
             r#"{"op":"fly"}"#,
         ] {
             assert!(Request::parse(line).is_err(), "{line:?} should fail");

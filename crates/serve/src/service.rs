@@ -791,15 +791,34 @@ impl std::fmt::Display for ServiceStats {
             self.cache_entries,
             self.cache_evictions
         )?;
+        if self.latency_samples == 0 {
+            // The percentiles are NaN until a job succeeds.
+            write!(f, "latency: no latency samples")?;
+        } else {
+            write!(
+                f,
+                "latency over {} jobs: p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms",
+                self.latency_samples, self.p50_ms, self.p95_ms, self.p99_ms
+            )?;
+        }
         write!(
             f,
-            "latency over {} jobs: p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms; queue wait avg {:.2} ms, exec avg {:.2} ms",
-            self.latency_samples,
-            self.p50_ms,
-            self.p95_ms,
-            self.p99_ms,
-            self.avg_queue_wait_ms,
-            self.avg_exec_ms
+            "; queue wait avg {:.2} ms, exec avg {:.2} ms",
+            self.avg_queue_wait_ms, self.avg_exec_ms
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn idle_stats_display_has_no_nan() {
+        let stats = Service::start(ServiceConfig::default()).shutdown();
+        assert_eq!(stats.latency_samples, 0);
+        let text = stats.to_string();
+        assert!(text.contains("latency: no latency samples;"), "{text}");
+        assert!(!text.contains("NaN"), "{text}");
     }
 }

@@ -291,6 +291,36 @@ fn bad_lines_get_typed_errors_and_do_not_kill_the_session() {
     assert_eq!(stats.accepted, 1);
 }
 
+#[test]
+fn out_of_range_block_is_a_bad_request() {
+    // A block of 0 (or one that would wrap to 0 as a u32) must be refused
+    // at parse time: executed, it would panic a native worker.
+    let input = concat!(
+        r#"{"id":1,"op":"color","graph":{"gen":"rmat","scale":4,"seed":1},"backend":"native","block":0}"#,
+        "\n",
+        r#"{"id":2,"op":"color","graph":{"gen":"rmat","scale":4,"seed":1},"backend":"native","block":4294967296}"#,
+        "\n",
+        r#"{"id":3,"op":"stats"}"#,
+        "\n",
+    );
+    // A worker panic used to hang the EOF drain: bound the wait so that
+    // regression fails instead of stalling the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(run_session(input)).unwrap());
+    let (lines, stats) = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("session hung after an out-of-range block");
+    assert_eq!(lines.len(), 3, "one line per request: {lines:?}");
+    for l in &lines[..2] {
+        assert_eq!(l.get("error").and_then(Json::as_str), Some("bad-request"));
+        let msg = l.get("detail").and_then(Json::as_str).unwrap_or("");
+        assert!(msg.contains("block"), "{msg}");
+    }
+    assert_eq!(lines[2].get("id").and_then(Json::as_u64), Some(3));
+    assert_eq!(lines[2].get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(stats.submitted, 0);
+}
+
 // The paper's Fig. 2 graph (5 vertices, 7 undirected edges) as DIMACS
 // text, `\n`-escaped for embedding in a JSON `load` request. The same
 // graph the inline-CSR tests above use, so shapes are comparable.
