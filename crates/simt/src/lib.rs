@@ -70,6 +70,7 @@ pub mod exec;
 pub mod kernel;
 pub mod mem;
 pub mod native;
+mod pipeline;
 pub mod profile;
 pub mod sanitize;
 pub mod timing;

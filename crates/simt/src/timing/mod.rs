@@ -13,20 +13,30 @@
 //!
 //! ## Replay hot path
 //!
-//! [`SmState::account_warp`] consumes a flat [`WarpTrace`]. Each op slot
-//! carries a kind-summary bitmask built during tracing, so the replay
-//! charges the (overwhelmingly common) kind-uniform slot with a single
-//! pass over the lanes; only genuinely divergent slots fall back to the
-//! serialized per-kind replay. All replay scratch (the ≤32-entry lane
-//! address buffer and the per-bank conflict counters) lives in a
-//! `WarpScratch` owned by the `SmState`, so steady-state replay performs
-//! zero heap allocations (see `tests/alloc_free_replay.rs`).
+//! Replaying a warp is two steps. The **gather** (`gather_warp`) is pure:
+//! it reads a flat [`WarpTrace`] and the [`Device`] and yields the warp's
+//! accesses in replay order, each a kind plus its lanes' line-aligned
+//! word addresses. One pass over a slot's lanes collects the addresses
+//! and the slot's kind summary, which finishes the (overwhelmingly
+//! common) kind-uniform slot; only genuinely divergent slots fall back to
+//! the serialized per-kind replay. The **charge**
+//! (`SmState::charge_access`) sorts and dedups each access, probes the
+//! read-only cache and the L2, and updates the counters.
+//! [`SmState::account_warp`] runs the two back to back; the
+//! Deterministic executor runs them on two host threads with a
+//! `ReplayBatch` (the `batch` module) in between. All charge scratch (the
+//! ≤32-entry lane address buffer and the per-bank conflict counters)
+//! lives in a `WarpScratch` owned by the `SmState`, so steady-state
+//! replay performs zero heap allocations (see
+//! `tests/alloc_free_replay.rs`).
 
+pub(crate) mod batch;
 pub mod cache;
 pub mod occupancy;
 
 use crate::config::Device;
 use crate::trace::{OpKind, WarpTrace, KIND_ORDER, MAX_WARP_LANES};
+pub(crate) use batch::{ReplayBatch, ReplayCursor};
 use cache::Cache;
 use occupancy::Occupancy;
 use serde::{Deserialize, Serialize};
@@ -96,9 +106,9 @@ pub struct KernelStats {
 /// Sized once (at `SmState::new` / first use) and reused for every warp,
 /// so the replay loop never touches the heap.
 struct WarpScratch {
-    /// Lane byte addresses gathered for the current op slot, already
-    /// line-aligned for global-memory kinds (see [`gather_mask`]).
-    addrs: [u64; MAX_WARP_LANES],
+    /// Word addresses of the access being charged, already line-aligned
+    /// for global-memory kinds (see [`gather_word_mask`]).
+    addrs: [u32; MAX_WARP_LANES],
     /// Number of valid entries in `addrs`.
     n: usize,
     /// Whether `addrs[..n]` came out of the gather in ascending order.
@@ -119,6 +129,12 @@ impl WarpScratch {
             per_bank: vec![0; dev.smem_banks.max(1) as usize],
         }
     }
+}
+
+/// Byte address of a traced word address.
+#[inline]
+fn byte_addr(word: u32) -> u64 {
+    word as u64 * 4
 }
 
 /// Per-SM accumulation state: the private read-only cache plus
@@ -188,107 +204,67 @@ impl SmState {
     /// exhausted their trace are masked off, approximating loop-bound
     /// divergence).
     ///
-    /// Single pass per op slot: the slot's kind summary (built during
-    /// tracing) says whether all lanes issued the same kind — if so the
-    /// addresses are gathered without per-op kind tests and charged once.
-    /// A divergent slot replays one kind at a time in [`KIND_ORDER`]
-    /// (serialized replay), exactly as the pre-SoA accounting did.
+    /// This is the pure gather (`gather_warp`) feeding the stateful
+    /// charge (`charge_access`) directly. The Deterministic executor runs
+    /// the same two steps on two host threads, with a replay batch
+    /// between them.
     pub fn account_warp(&mut self, dev: &Device, l2: &mut Cache, warp: &WarpTrace) {
-        let lanes = warp.lanes();
-        debug_assert!(lanes <= dev.warp_size as usize);
-        // SIMT compute issue: the warp executes until its longest lane is
-        // done.
-        self.issue += warp.max_alu();
+        debug_assert!(warp.lanes() <= dev.warp_size as usize);
+        self.begin_warp(WarpHead::of(warp));
         let mut warp_lat = 0u64;
+        gather_warp(dev, warp, |kind, sorted, words| {
+            warp_lat += self.charge_access(dev, l2, kind, sorted, words);
+        });
+        self.end_warp(warp_lat);
+    }
 
-        let max_ops = warp.max_ops();
-        self.simd_useful += warp.total_ops() as u64;
-        self.simd_slots += (max_ops * lanes) as u64;
+    /// Opens a warp: SIMT compute issue (the warp executes until its
+    /// longest lane is done) and the SIMD-efficiency counters.
+    #[inline]
+    pub(crate) fn begin_warp(&mut self, head: WarpHead) {
+        self.issue += head.max_alu;
+        self.simd_useful += head.total_ops as u64;
+        self.simd_slots += head.max_ops as u64 * head.lanes as u64;
+    }
 
-        // Per-lane cursors into the flat op vector (stack-resident).
-        let flat = warp.flat_ops();
-        let mut start = [0usize; MAX_WARP_LANES];
-        let mut len = [0usize; MAX_WARP_LANES];
-        for l in 0..lanes {
-            let (s, e) = warp.lane_span(l);
-            start[l] = s;
-            len[l] = e - s;
-        }
-
-        for k in 0..max_ops {
-            let mask = warp.slot_kind_mask(k);
-            if mask == OpKind::Local.bit() {
-                // Local ops are charged address-free (fixed L1 latency);
-                // skip the gather outright for the all-local slot — the
-                // single most common slot kind in the coloring kernels
-                // (the per-thread `colorMask` traffic).
-                self.scratch.n = 1;
-                warp_lat += self.charge_slot(dev, l2, OpKind::Local);
-            } else if mask.count_ones() == 1 {
-                // Kind-uniform slot (the common case): one fused pass
-                // gathers, line-aligns and order-checks the lane
-                // addresses, with no per-op kind tests.
-                let kind = OpKind::from_bit(mask);
-                let amask = gather_mask(dev, kind);
-                let mut n = 0;
-                let mut prev = 0u64;
-                let mut sorted = true;
-                for l in 0..lanes {
-                    if k < len[l] {
-                        let a = (flat[start[l] + k].addr as u64 * 4) & amask;
-                        sorted &= a >= prev;
-                        prev = a;
-                        self.scratch.addrs[n] = a;
-                        n += 1;
-                    }
-                }
-                self.scratch.n = n;
-                self.scratch.sorted = sorted;
-                warp_lat += self.charge_slot(dev, l2, kind);
-            } else {
-                // Divergent slot (rare): serialized replay, one warp
-                // access per kind present, in canonical order.
-                for kind in KIND_ORDER {
-                    if mask & kind.bit() == 0 {
-                        continue;
-                    }
-                    let amask = gather_mask(dev, kind);
-                    let mut n = 0;
-                    let mut prev = 0u64;
-                    let mut sorted = true;
-                    for l in 0..lanes {
-                        if k < len[l] {
-                            let op = flat[start[l] + k];
-                            if op.kind == kind {
-                                let a = (op.addr as u64 * 4) & amask;
-                                sorted &= a >= prev;
-                                prev = a;
-                                self.scratch.addrs[n] = a;
-                                n += 1;
-                            }
-                        }
-                    }
-                    self.scratch.n = n;
-                    self.scratch.sorted = sorted;
-                    warp_lat += self.charge_slot(dev, l2, kind);
-                }
-            }
-        }
+    /// Closes a warp whose accesses added up to `warp_lat` cycles.
+    #[inline]
+    pub(crate) fn end_warp(&mut self, warp_lat: u64) {
         self.max_warp_lat = self.max_warp_lat.max(warp_lat);
+    }
+
+    /// Charges one warp-level access produced by [`gather_warp`]: sort and
+    /// dedup, read-only and L2 probes, counters. Returns the warp-visible
+    /// latency (also added to `mem_lat`).
+    #[inline]
+    pub(crate) fn charge_access(
+        &mut self,
+        dev: &Device,
+        l2: &mut Cache,
+        kind: OpKind,
+        sorted: bool,
+        words: &[u32],
+    ) -> u64 {
+        let n = words.len();
+        self.scratch.addrs[..n].copy_from_slice(words);
+        self.scratch.n = n;
+        self.scratch.sorted = sorted;
+        self.charge_slot(dev, l2, kind)
     }
 
     /// Charges one warp-level access of `kind` over the addresses
     /// currently in the scratch buffer. Returns the warp-visible latency
     /// (also added to `mem_lat`).
     fn charge_slot(&mut self, dev: &Device, l2: &mut Cache, kind: OpKind) -> u64 {
-        debug_assert!(self.scratch.n > 0, "empty slot charge");
+        debug_assert!(
+            self.scratch.n > 0 || kind == OpKind::Local,
+            "empty slot charge"
+        );
         let lat = match kind {
             OpKind::Smem => {
                 // Bank conflicts: lanes hitting distinct words in the same
-                // bank serialize; same-word access is a broadcast. The
-                // scratch holds byte-scaled word indices (the line-dedup
-                // byte convention does not apply).
-                let banks = dev.smem_banks.max(1) as u64;
+                // bank serialize; same-word access is a broadcast.
+                let banks = dev.smem_banks.max(1);
                 if self.scratch.per_bank.len() != banks as usize {
                     // Only reachable if a warp is accounted against a
                     // different device than `SmState::new` saw.
@@ -297,10 +273,8 @@ impl SmState {
                 self.scratch.per_bank.fill(0);
                 let n = self.dedup_scratch(); // same word broadcasts
                 for i in 0..n {
-                    // Addresses were scaled to bytes during the gather;
-                    // undo to recover the word index.
-                    let a = self.scratch.addrs[i];
-                    self.scratch.per_bank[((a / 4) % banks) as usize] += 1;
+                    let w = self.scratch.addrs[i];
+                    self.scratch.per_bank[(w % banks) as usize] += 1;
                 }
                 let ways = self
                     .scratch
@@ -314,7 +288,8 @@ impl SmState {
                 ways * dev.smem_cycles as u64
             }
             OpKind::Local => {
-                // L1-speed, fully pipelined: issue slots only.
+                // L1-speed, fully pipelined, address-free: issue slots
+                // only.
                 self.issue += 1;
                 dev.local_cycles as u64
             }
@@ -370,7 +345,7 @@ impl SmState {
         self.issue += n as u64 - 1;
         let mut worst = 0u64;
         for i in 0..n {
-            let a = self.scratch.addrs[i];
+            let a = byte_addr(self.scratch.addrs[i]);
             let lat = if l2.access(a) {
                 dev.l2_hit_cycles as u64
             } else {
@@ -391,7 +366,7 @@ impl SmState {
         self.issue += n as u64 - 1;
         let mut worst = 0u64;
         for i in 0..n {
-            let a = self.scratch.addrs[i];
+            let a = byte_addr(self.scratch.addrs[i]);
             let lat = if self.ro.access(a) {
                 dev.ro_hit_cycles as u64
             } else if l2.access(a) {
@@ -435,7 +410,7 @@ impl SmState {
         self.scratch.n = n;
         let mut worst = 0u64;
         for i in 0..n {
-            let a = self.scratch.addrs[i];
+            let a = byte_addr(self.scratch.addrs[i]);
             if l2.access(a) {
                 worst = worst.max(dev.l2_hit_cycles as u64);
             } else {
@@ -473,7 +448,7 @@ impl SmState {
 
 /// In-place dedup of sorted values; returns the deduped length.
 #[inline]
-fn dedup_sorted(addrs: &mut [u64]) -> usize {
+fn dedup_sorted(addrs: &mut [u32]) -> usize {
     let mut w = 0usize;
     for i in 0..addrs.len() {
         if w == 0 || addrs[i] != addrs[w - 1] {
@@ -484,19 +459,155 @@ fn dedup_sorted(addrs: &mut [u64]) -> usize {
     w
 }
 
-/// Address mask applied during the gather for `kind`: global
+/// Word-address mask applied during the gather for `kind`: global
 /// loads/stores are line-aligned up front (32-byte L2 lines; 128-byte
 /// read-only lines for `__ldg` and for plain loads on devices whose L1
 /// caches globals), so the charge path needn't re-walk the buffer.
-/// Atomics and shared-memory ops keep exact byte addresses — they dedup
-/// and bank by word, not by line.
+/// Atomics and shared-memory ops keep exact word addresses — they dedup
+/// and bank by word, not by line. Masking the word address equals
+/// masking the byte address `4 × word` for every line of at least 4
+/// bytes.
 #[inline]
-fn gather_mask(dev: &Device, kind: OpKind) -> u64 {
+fn gather_word_mask(dev: &Device, kind: OpKind) -> u32 {
+    let line_words = |bytes: u32| !((bytes / 4).max(1) - 1);
     match kind {
-        OpKind::Ldg => !(dev.ro_line_bytes as u64 - 1),
-        OpKind::Ld if dev.l1_caches_globals => !(dev.ro_line_bytes as u64 - 1),
-        OpKind::Ld | OpKind::St => !(dev.l2_line_bytes as u64 - 1),
+        OpKind::Ldg => line_words(dev.ro_line_bytes),
+        OpKind::Ld if dev.l1_caches_globals => line_words(dev.ro_line_bytes),
+        OpKind::Ld | OpKind::St => line_words(dev.l2_line_bytes),
         _ => !0,
+    }
+}
+
+/// What [`SmState::begin_warp`] needs of a warp besides its accesses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WarpHead {
+    /// Compute issue: the longest lane's ALU count.
+    pub max_alu: u64,
+    /// Active lanes.
+    pub lanes: u32,
+    /// Longest lane's op count (the warp's op slots).
+    pub max_ops: u32,
+    /// Ops over all lanes.
+    pub total_ops: u32,
+}
+
+impl WarpHead {
+    /// The head of `warp`.
+    #[inline]
+    pub(crate) fn of(warp: &WarpTrace) -> Self {
+        Self {
+            max_alu: warp.max_alu(),
+            lanes: warp.lanes() as u32,
+            max_ops: warp.max_ops() as u32,
+            total_ops: warp.total_ops() as u32,
+        }
+    }
+}
+
+/// The pure half of warp replay: turns a trace into its warp-level
+/// accesses, in replay order, calling `access(kind, sorted, words)` for
+/// each. It reads only the trace and the device — never memory or cache
+/// state — so it can run on another thread than the charge.
+///
+/// Single pass per op slot: the pass that collects the slot's addresses
+/// also ORs its lanes' kind bits, which says whether all lanes issued the
+/// same kind — the common case, finished in place. A divergent slot
+/// yields one access per kind present, in [`KIND_ORDER`] (serialized
+/// replay). `Local` accesses are address-free and always yield an empty
+/// `words`, in uniform and divergent slots alike.
+#[inline]
+pub(crate) fn gather_warp(
+    dev: &Device,
+    warp: &WarpTrace,
+    mut access: impl FnMut(OpKind, bool, &[u32]),
+) {
+    let lanes = warp.lanes();
+    // Per-lane cursors into the flat op vector (stack-resident).
+    let flat = warp.flat_ops();
+    let mut start = [0usize; MAX_WARP_LANES];
+    let mut len = [0usize; MAX_WARP_LANES];
+    for l in 0..lanes {
+        let (s, e) = warp.lane_span(l);
+        start[l] = s;
+        len[l] = e - s;
+    }
+    let (start, len) = (&start[..lanes], &len[..lanes]);
+    let max_ops = len.iter().copied().max().unwrap_or(0);
+    // Slots below the shortest lane's length have every lane active.
+    let all_active = len.iter().copied().min().unwrap_or(0);
+    let mut words = [0u32; MAX_WARP_LANES];
+
+    for k in 0..max_ops {
+        // One pass over the lanes that have a k-th op: the slot's kind
+        // summary (OR of kind bits) and its raw word addresses, with no
+        // per-lane length tests while every lane is active.
+        let mut mask = 0u8;
+        let mut n = 0;
+        if k < all_active {
+            for (slot, &s) in words.iter_mut().zip(start) {
+                let op = flat[s + k];
+                mask |= op.kind.bit();
+                *slot = op.addr;
+            }
+            n = lanes;
+        } else {
+            for (&s, &len) in start.iter().zip(len) {
+                if k < len {
+                    let op = flat[s + k];
+                    mask |= op.kind.bit();
+                    words[n] = op.addr;
+                    n += 1;
+                }
+            }
+        }
+        if mask == OpKind::Local.bit() {
+            // The all-local slot — the single most common slot kind in the
+            // coloring kernels (the per-thread `colorMask` traffic) — is
+            // address-free.
+            access(OpKind::Local, true, &[]);
+        } else if mask.count_ones() == 1 {
+            // Kind-uniform slot (the common case): line-align and
+            // order-check the gathered addresses in place.
+            let kind = OpKind::from_bit(mask);
+            let wmask = gather_word_mask(dev, kind);
+            let mut prev = 0u32;
+            let mut sorted = true;
+            for w in &mut words[..n] {
+                *w &= wmask;
+                sorted &= *w >= prev;
+                prev = *w;
+            }
+            access(kind, sorted, &words[..n]);
+        } else {
+            // Divergent slot (rare): serialized replay, one warp access
+            // per kind present, in canonical order.
+            for kind in KIND_ORDER {
+                if mask & kind.bit() == 0 {
+                    continue;
+                }
+                if kind == OpKind::Local {
+                    access(OpKind::Local, true, &[]);
+                    continue;
+                }
+                let wmask = gather_word_mask(dev, kind);
+                let mut n = 0;
+                let mut prev = 0u32;
+                let mut sorted = true;
+                for (&s, &len) in start.iter().zip(len) {
+                    if k < len {
+                        let op = flat[s + k];
+                        if op.kind == kind {
+                            let w = op.addr & wmask;
+                            sorted &= w >= prev;
+                            prev = w;
+                            words[n] = w;
+                            n += 1;
+                        }
+                    }
+                }
+                access(kind, sorted, &words[..n]);
+            }
+        }
     }
 }
 
@@ -1145,6 +1256,53 @@ mod tests {
                 oracle::account_warp(&mut sm_old, &dev, &mut l2_old, &lanes);
                 assert_sm_eq(&sm_new, &sm_old, trial);
                 assert_eq!(l2_new.stats(), l2_old.stats(), "l2 stats, trial {trial}");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_gather_and_charge_match_account_warp() {
+        // The two-thread executor's data path — gather into budgeted
+        // batches, which fill and flush mid-warp, then charge from them —
+        // against account_warp and the pre-SoA oracle. Divergent slots
+        // here mix Local ops (carrying nonzero addresses) with addressed
+        // kinds, which the gather must leave out of the batch and the
+        // charge must not expect.
+        for (seed, dev) in [(0x1234u64, Device::k20c()), (0x9ABC, Device::fermi_like())] {
+            for (steps, words) in [(1, MAX_WARP_LANES), (3, 40), (64, 256)] {
+                let mut rng = Rng(seed);
+                let mut direct = SmState::new(&dev);
+                let mut l2_direct = l2_of(&dev);
+                let mut old = SmState::new(&dev);
+                let mut l2_old = l2_of(&dev);
+                let mut sms = [SmState::new(&dev)];
+                let mut l2_batched = l2_of(&dev);
+                let mut cursor = ReplayCursor::default();
+                let mut batch = ReplayBatch::with_budget(steps, words);
+                let mut flushes = 0;
+                for trial in 0..300 {
+                    let lanes = random_warp(&mut rng);
+                    let w = warp(&lanes);
+                    direct.account_warp(&dev, &mut l2_direct, &w);
+                    oracle::account_warp(&mut old, &dev, &mut l2_old, &lanes);
+                    batch.push_warp(&dev, 0, &w, &mut |b| {
+                        b.replay(&dev, &mut sms, &mut l2_batched, &mut cursor);
+                        b.clear();
+                        flushes += 1;
+                    });
+                    if trial % 7 == 6 {
+                        // Sometimes carry a batch over into the next warp.
+                        batch.replay(&dev, &mut sms, &mut l2_batched, &mut cursor);
+                        batch.clear();
+                        assert_sm_eq(&sms[0], &direct, trial);
+                        assert_eq!(l2_batched.stats(), l2_direct.stats(), "trial {trial}");
+                    }
+                    assert_sm_eq(&direct, &old, trial);
+                }
+                batch.replay(&dev, &mut sms, &mut l2_batched, &mut cursor);
+                assert_sm_eq(&sms[0], &direct, 300);
+                assert_eq!(l2_batched.stats(), l2_old.stats());
+                assert!(flushes > 0, "budget {steps}/{words} never filled");
             }
         }
     }

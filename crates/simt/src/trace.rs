@@ -9,12 +9,13 @@
 //! back to back, per-lane start offsets, and per-lane ALU counters. This
 //! replaces the earlier per-lane `LaneTrace` vectors: one allocation
 //! instead of 32, no per-thread buffer swapping in the executor, and
-//! slot-major replay walks memory that was written contiguously. While
-//! tracing, a per-slot *kind summary* is maintained so the replay can
-//! detect kind-uniform slots (the overwhelmingly common case) in O(1) and
-//! charge them in a single pass. Traces live only for the duration of one
-//! warp and their allocations are reused, so memory stays O(warp work),
-//! not O(kernel work).
+//! slot-major replay walks memory that was written contiguously. Recording
+//! an op is a single push; the replay's gather derives each slot's *kind
+//! summary* in the same pass that collects the slot's addresses, so
+//! kind-uniform slots (the overwhelmingly common case) take a single
+//! pass. Traces live only for the duration of one warp and their
+//! allocations are reused, so memory stays O(warp work), not O(kernel
+//! work).
 
 /// Upper bound on lanes per warp supported by the trace/replay scratch
 /// buffers. Every modeled device uses 32-lane warps.
@@ -80,8 +81,7 @@ pub struct Op {
 }
 
 /// The trace of one warp: every lane's memory ops in one flat vector
-/// (lane-major), per-lane offsets and ALU counts, plus a per-slot kind
-/// summary maintained during tracing.
+/// (lane-major), per-lane offsets and ALU counts.
 ///
 /// The executor drives it as: [`WarpTrace::reset`] at warp start, then per
 /// thread [`WarpTrace::begin_lane`] followed by the thread's
@@ -96,8 +96,6 @@ pub struct WarpTrace {
     starts: Vec<u32>,
     /// Arithmetic (non-memory) instructions executed, per lane.
     alu: Vec<u64>,
-    /// `slot_kinds[k]` = OR of [`OpKind::bit`] over every lane's k-th op.
-    slot_kinds: Vec<u8>,
 }
 
 impl WarpTrace {
@@ -107,7 +105,6 @@ impl WarpTrace {
         self.ops.clear();
         self.starts.clear();
         self.alu.clear();
-        self.slot_kinds.clear();
     }
 
     /// Starts recording the next lane. Subsequent [`WarpTrace::push`] /
@@ -123,14 +120,6 @@ impl WarpTrace {
     #[inline]
     pub fn push(&mut self, op: Op) {
         debug_assert!(!self.starts.is_empty(), "push before begin_lane");
-        // Slot index of this op within its lane = ops recorded by the
-        // current lane so far.
-        let k = self.ops.len() - *self.starts.last().unwrap() as usize;
-        if k == self.slot_kinds.len() {
-            self.slot_kinds.push(op.kind.bit());
-        } else {
-            self.slot_kinds[k] |= op.kind.bit();
-        }
         self.ops.push(op);
     }
 
@@ -188,7 +177,13 @@ impl WarpTrace {
     /// Longest lane's op count — the number of warp-level op slots.
     #[inline]
     pub fn max_ops(&self) -> usize {
-        self.slot_kinds.len()
+        (0..self.lanes())
+            .map(|l| {
+                let (start, end) = self.lane_span(l);
+                end - start
+            })
+            .max()
+            .unwrap_or(0)
     }
 
     /// Total ops across all lanes (the SIMD-efficiency numerator).
@@ -199,9 +194,10 @@ impl WarpTrace {
 
     /// OR of [`OpKind::bit`] over the k-th op of every lane that has one.
     /// A single set bit means the slot is kind-uniform.
-    #[inline]
     pub fn slot_kind_mask(&self, k: usize) -> u8 {
-        self.slot_kinds[k]
+        (0..self.lanes())
+            .filter_map(|l| self.lane_ops(l).get(k))
+            .fold(0, |mask, op| mask | op.kind.bit())
     }
 }
 
@@ -221,23 +217,13 @@ mod tests {
             t.push(op(OpKind::Ld, i));
         }
         t.add_alu(5);
-        let cap = (
-            t.ops.capacity(),
-            t.starts.capacity(),
-            t.alu.capacity(),
-            t.slot_kinds.capacity(),
-        );
+        let cap = (t.ops.capacity(), t.starts.capacity(), t.alu.capacity());
         t.reset();
         assert_eq!(t.lanes(), 0);
         assert_eq!(t.total_ops(), 0);
         assert_eq!(t.max_ops(), 0);
         assert_eq!(
-            (
-                t.ops.capacity(),
-                t.starts.capacity(),
-                t.alu.capacity(),
-                t.slot_kinds.capacity(),
-            ),
+            (t.ops.capacity(), t.starts.capacity(), t.alu.capacity()),
             cap
         );
     }
