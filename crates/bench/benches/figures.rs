@@ -9,21 +9,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gcol_bench::experiments::{self, ExpConfig};
 use gcol_bench::suite::build_graph;
 use gcol_core::{ColorOptions, Scheme};
-use gcol_simt::{Device, ExecMode};
+use gcol_simt::Device;
 use std::hint::black_box;
 
 fn cfg() -> ExpConfig {
     ExpConfig {
         scale: 11,
-        exec_mode: ExecMode::Deterministic,
         ..ExpConfig::default()
-    }
-}
-
-fn opts() -> ColorOptions {
-    ColorOptions {
-        exec_mode: ExecMode::Deterministic,
-        ..ColorOptions::default()
     }
 }
 
@@ -46,14 +38,14 @@ fn bench_fig1(c: &mut Criterion) {
     group.bench_function("3-step-gm", |b| {
         b.iter(|| {
             Scheme::ThreeStepGm
-                .color(black_box(&g), &dev, &opts())
+                .color(black_box(&g), &dev, &ColorOptions::default())
                 .num_colors
         })
     });
     group.bench_function("csrcolor", |b| {
         b.iter(|| {
             Scheme::CsrColor
-                .color(black_box(&g), &dev, &opts())
+                .color(black_box(&g), &dev, &ColorOptions::default())
                 .num_colors
         })
     });
@@ -65,7 +57,7 @@ fn bench_fig3(c: &mut Criterion) {
     let dev = Device::k20c();
     c.bench_function("fig3-topo-base-profile", |b| {
         b.iter(|| {
-            let r = Scheme::TopoBase.color(black_box(&g), &dev, &opts());
+            let r = Scheme::TopoBase.color(black_box(&g), &dev, &ColorOptions::default());
             r.profile.aggregate_kernel_metrics().unwrap().0
         })
     });
@@ -78,7 +70,11 @@ fn bench_fig67(c: &mut Criterion) {
     let dev = Device::k20c();
     for scheme in Scheme::paper_seven() {
         group.bench_function(scheme.name(), |b| {
-            b.iter(|| scheme.color(black_box(&g), &dev, &opts()).num_colors)
+            b.iter(|| {
+                scheme
+                    .color(black_box(&g), &dev, &ColorOptions::default())
+                    .num_colors
+            })
         });
     }
     group.finish();
@@ -93,7 +89,7 @@ fn bench_fig8(c: &mut Criterion) {
         group.bench_function(format!("{block}t"), |b| {
             let o = ColorOptions {
                 block_size: block,
-                ..opts()
+                ..ColorOptions::default()
             };
             b.iter(|| Scheme::DataLdg.color(black_box(&g), &dev, &o).num_colors)
         });

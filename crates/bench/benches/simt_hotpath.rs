@@ -14,15 +14,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gcol_bench::suite::build_graph;
 use gcol_core::{ColorOptions, Scheme};
-use gcol_simt::{Device, ExecMode};
+use gcol_simt::Device;
 use std::hint::black_box;
-
-fn opts() -> ColorOptions {
-    ColorOptions {
-        exec_mode: ExecMode::Deterministic,
-        ..ColorOptions::default()
-    }
-}
 
 /// The four paper schemes the `hotpath` bin drives, at a scale criterion
 /// can sample in seconds. Topology-driven schemes stress plain-`Ld`
@@ -40,7 +33,11 @@ fn bench_coloring_replay(c: &mut Criterion) {
         Scheme::DataLdg,
     ] {
         group.bench_function(scheme.name(), |b| {
-            b.iter(|| scheme.color(black_box(&g), &dev, &opts()).num_colors)
+            b.iter(|| {
+                scheme
+                    .color(black_box(&g), &dev, &ColorOptions::default())
+                    .num_colors
+            })
         });
     }
     group.finish();
@@ -57,7 +54,7 @@ fn bench_atomic_replay(c: &mut Criterion) {
     group.bench_function("csrcolor", |b| {
         b.iter(|| {
             Scheme::CsrColor
-                .color(black_box(&g), &dev, &opts())
+                .color(black_box(&g), &dev, &ColorOptions::default())
                 .num_colors
         })
     });

@@ -2,8 +2,8 @@
 //! loop end to end, without criterion, so regressions are measurable in
 //! constrained environments (and by the CI smoke gate).
 //!
-//! Runs the requested schemes on an rmat-er graph in `Deterministic` mode
-//! and prints, per repeat: host wall-clock, modeled time, colors,
+//! Runs the requested schemes on an rmat-er graph on the simulator and
+//! prints, per repeat: host wall-clock, modeled time, colors,
 //! iterations, and a digest of every modeled hardware counter. The digest
 //! is the equivalence check: any change to the timing model's arithmetic
 //! shows up as a different digest on the same workload.
@@ -18,7 +18,7 @@
 
 use gcol_core::{BackendKind, ColorOptions, Scheme};
 use gcol_graph::gen::{self, RmatParams};
-use gcol_simt::{Device, ExecMode, Phase};
+use gcol_simt::{Device, Phase};
 
 fn die(msg: &str) -> ! {
     eprintln!("hotpath: {msg}");
@@ -109,9 +109,7 @@ fn main() {
     );
 
     let dev = Device::k20c();
-    let opts = ColorOptions::default()
-        .with_exec_mode(ExecMode::Deterministic)
-        .with_backend(backend);
+    let opts = ColorOptions::default().with_backend(backend);
     eprintln!("backend: {backend}");
     for scheme in &schemes {
         for rep in 0..repeat {

@@ -111,13 +111,11 @@ pub fn run(cfg: &ExpConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcol_simt::ExecMode;
 
     #[test]
     fn ablation_runs_at_small_scale() {
         let cfg = ExpConfig {
             scale: 10,
-            exec_mode: ExecMode::Deterministic,
             ..ExpConfig::default()
         };
         let out = run(&cfg);

@@ -78,13 +78,11 @@ pub fn run(cfg: &ExpConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcol_simt::ExecMode;
 
     #[test]
     fn ldg_gain_collapses_on_fermi() {
         let cfg = ExpConfig {
             scale: 11,
-            exec_mode: ExecMode::Deterministic,
             ..ExpConfig::default()
         };
         let out = run(&cfg);

@@ -40,7 +40,6 @@ pub fn run(cfg: &ExpConfig) -> String {
         for (bi, &block) in BLOCK_SIZES.iter().enumerate() {
             let opts = ColorOptions {
                 block_size: block,
-                exec_mode: cfg.exec_mode,
                 ..ColorOptions::default()
             };
             let r = Scheme::DataLdg.color(&e.graph, &dev, &opts);
@@ -86,13 +85,11 @@ pub fn run(cfg: &ExpConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcol_simt::ExecMode;
 
     #[test]
     fn sweep_runs_at_tiny_scale() {
         let cfg = ExpConfig {
             scale: 10,
-            exec_mode: ExecMode::Deterministic,
             ..ExpConfig::default()
         };
         let out = run(&cfg);

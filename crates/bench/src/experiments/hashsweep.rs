@@ -43,7 +43,6 @@ pub fn run(cfg: &ExpConfig) -> String {
             let opts = ColorOptions {
                 num_hashes: n,
                 block_size: cfg.block_size,
-                exec_mode: cfg.exec_mode,
                 ..ColorOptions::default()
             };
             let r = Scheme::CsrColor.color(&g, &dev, &opts);
@@ -76,13 +75,11 @@ pub fn run(cfg: &ExpConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcol_simt::ExecMode;
 
     #[test]
     fn sweep_shows_the_trade() {
         let cfg = ExpConfig {
             scale: 11,
-            exec_mode: ExecMode::Deterministic,
             ..ExpConfig::default()
         };
         let out = run(&cfg);

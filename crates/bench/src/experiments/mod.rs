@@ -28,7 +28,7 @@ pub mod variance;
 use crate::suite::{build_suite, SuiteEntry};
 use gcol_core::{BackendKind, ColorOptions, ExchangeKind, Scheme, SchemeChoice};
 use gcol_plan::Slo;
-use gcol_simt::{Device, ExecMode};
+use gcol_simt::Device;
 use serde::Serialize;
 
 /// Shared experiment configuration.
@@ -38,8 +38,6 @@ pub struct ExpConfig {
     pub scale: u32,
     /// Thread block size for GPU schemes (paper default 128).
     pub block_size: u32,
-    /// Simulator execution mode.
-    pub exec_mode: ExecMode,
     /// Execution backend: the timing simulator (default) or native rayon.
     pub backend: BackendKind,
     /// Device count for the GPU schemes (1 = the single-device driver;
@@ -80,7 +78,6 @@ impl Default for ExpConfig {
         Self {
             scale: 15,
             block_size: 128,
-            exec_mode: ExecMode::Deterministic,
             backend: BackendKind::Simt,
             shards: 1,
             exchange: None,
@@ -120,7 +117,6 @@ impl ExpConfig {
     pub fn color_options(&self) -> ColorOptions {
         ColorOptions {
             block_size: self.block_size,
-            exec_mode: self.exec_mode,
             backend: self.backend,
             num_shards: self.shards,
             exchange: self.exchange.unwrap_or_default(),

@@ -88,13 +88,11 @@ pub fn run(cfg: &ExpConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcol_simt::ExecMode;
 
     #[test]
     fn relabel_experiment_runs() {
         let cfg = ExpConfig {
             scale: 10,
-            exec_mode: ExecMode::Deterministic,
             ..ExpConfig::default()
         };
         let out = run(&cfg);

@@ -81,14 +81,12 @@ pub fn run(cfg: &ExpConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcol_simt::ExecMode;
 
     #[test]
     fn scaling_report_renders_at_tiny_scales() {
         // Uses its own internal scale list; just confirm it runs end to
         // end at the small end (first entries dominate the runtime).
         let cfg = ExpConfig {
-            exec_mode: ExecMode::Deterministic,
             ..ExpConfig::default()
         };
         let out = run(&cfg);

@@ -1,5 +1,5 @@
 //! Robustness / variance study. The paper runs every benchmark 10 times
-//! and averages "to avoid system noise"; our Deterministic simulator has
+//! and averages "to avoid system noise"; our simulator has
 //! no timing noise, but two other variance sources remain and deserve the
 //! same treatment:
 //!
@@ -113,13 +113,11 @@ pub fn run(cfg: &ExpConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcol_simt::ExecMode;
 
     #[test]
     fn deterministic_control_shows_zero_spread() {
         let cfg = ExpConfig {
             scale: 10,
-            exec_mode: ExecMode::Deterministic,
             ..ExpConfig::default()
         };
         let out = run(&cfg);

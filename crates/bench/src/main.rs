@@ -8,7 +8,7 @@ use gcol_bench::experiments::{
 use gcol_graph::gen::{self, RmatParams};
 use gcol_graph::Csr;
 use gcol_serve::{serve_lines, Service, ServiceConfig};
-use gcol_simt::ExecMode;
+use gcol_simt::MAX_BLOCK_THREADS;
 use std::sync::Arc;
 
 const USAGE: &str = "\
@@ -82,11 +82,11 @@ OPTIONS:
     --scale N     log2-equivalent suite scale (default 15; the paper's
                   experiments correspond to 20 — expect long runtimes on a
                   laptop at that size)
-    --block N     thread block size for GPU schemes (default 128)
-    --parallel    simulate SMs on multiple host threads (results may vary
-                  across runs where the algorithm itself races)
+    --block N     thread block size for GPU schemes, 1..=1024 (default 128)
     --backend B   execution backend for the GPU schemes: simt (the timing
-                  simulator, default), native (rayon, wall-clock only —
+                  simulator, default: blocks in id order on a modeled K20c
+                  with one chip-wide L2, so colors and modeled times are
+                  identical run to run), native (rayon, wall-clock only —
                   no modeled kernel times, so speedup columns lose their
                   paper meaning) or sanitize (simt + shadow-memory launch
                   analysis; identical colors and modeled times)
@@ -158,12 +158,13 @@ fn main() {
                 cfg.block_size = args
                     .get(i + 1)
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--block needs an integer"));
+                    .filter(|b| (1..=MAX_BLOCK_THREADS).contains(b))
+                    .unwrap_or_else(|| {
+                        die(&format!(
+                            "--block needs an integer in 1..={MAX_BLOCK_THREADS}"
+                        ))
+                    });
                 i += 2;
-            }
-            "--parallel" => {
-                cfg.exec_mode = ExecMode::Parallel;
-                i += 1;
             }
             "--backend" => {
                 cfg.backend = args

@@ -199,14 +199,10 @@ mod tests {
     use gcol_graph::check::verify_coloring;
     use gcol_graph::gen::simple::{complete, cycle, erdos_renyi, star};
     use gcol_graph::gen::{rmat, RmatParams};
-    use gcol_simt::{Device, ExecMode, SimtBackend};
+    use gcol_simt::{Device, SimtBackend};
 
     fn opts() -> ColorOptions {
         ColorOptions::default()
-    }
-
-    fn det(dev: &Device) -> SimtBackend<'_> {
-        SimtBackend::new(dev, ExecMode::Deterministic)
     }
 
     #[test]
@@ -218,7 +214,7 @@ mod tests {
             star(128),
             erdos_renyi(900, 5000, 4),
         ] {
-            let r = color_csrcolor(&g, &det(&dev), &opts()).unwrap();
+            let r = color_csrcolor(&g, &SimtBackend::new(&dev), &opts()).unwrap();
             verify_coloring(&g, &r.colors).unwrap();
         }
     }
@@ -228,7 +224,7 @@ mod tests {
         // The central quality observation of Figs. 1(b)/6.
         let dev = Device::tiny();
         let g = rmat(RmatParams::erdos_renyi(11, 16), 5);
-        let mis = color_csrcolor(&g, &det(&dev), &opts()).unwrap();
+        let mis = color_csrcolor(&g, &SimtBackend::new(&dev), &opts()).unwrap();
         let seq = crate::seq::greedy_seq(&g, gcol_graph::ordering::Ordering::Natural);
         assert!(
             mis.num_colors as f64 >= 1.5 * seq.num_colors as f64,
@@ -244,7 +240,7 @@ mod tests {
         let g = erdos_renyi(1200, 9000, 6);
         let one = color_csrcolor(
             &g,
-            &det(&dev),
+            &SimtBackend::new(&dev),
             &ColorOptions {
                 num_hashes: 1,
                 ..opts()
@@ -253,7 +249,7 @@ mod tests {
         .unwrap();
         let four = color_csrcolor(
             &g,
-            &det(&dev),
+            &SimtBackend::new(&dev),
             &ColorOptions {
                 num_hashes: 4,
                 ..opts()
@@ -272,15 +268,15 @@ mod tests {
     fn deterministic_per_seed() {
         let dev = Device::tiny();
         let g = erdos_renyi(500, 2500, 7);
-        let a = color_csrcolor(&g, &det(&dev), &opts()).unwrap();
-        let b = color_csrcolor(&g, &det(&dev), &opts()).unwrap();
+        let a = color_csrcolor(&g, &SimtBackend::new(&dev), &opts()).unwrap();
+        let b = color_csrcolor(&g, &SimtBackend::new(&dev), &opts()).unwrap();
         assert_eq!(a.colors, b.colors);
     }
 
     #[test]
     fn empty_graph() {
         let dev = Device::tiny();
-        let r = color_csrcolor(&Csr::empty(0), &det(&dev), &opts()).unwrap();
+        let r = color_csrcolor(&Csr::empty(0), &SimtBackend::new(&dev), &opts()).unwrap();
         assert_eq!(r.num_colors, 0);
         assert_eq!(r.iterations, 0);
     }
@@ -290,7 +286,7 @@ mod tests {
         let dev = Device::tiny();
         let err = color_csrcolor(
             &cycle(5),
-            &det(&dev),
+            &SimtBackend::new(&dev),
             &ColorOptions {
                 num_hashes: 0,
                 ..opts()

@@ -197,14 +197,10 @@ mod tests {
     use gcol_graph::check::verify_coloring;
     use gcol_graph::gen::simple::{complete, cycle, erdos_renyi, star};
     use gcol_graph::gen::{grid2d, rmat, RmatParams, StencilKind};
-    use gcol_simt::{grid_for, Device, ExecMode, SimtBackend};
+    use gcol_simt::{grid_for, Device, SimtBackend};
 
     fn opts() -> ColorOptions {
         ColorOptions::default()
-    }
-
-    fn det(dev: &Device) -> SimtBackend<'_> {
-        SimtBackend::new(dev, ExecMode::Deterministic)
     }
 
     #[test]
@@ -218,7 +214,7 @@ mod tests {
             grid2d(20, 20, StencilKind::NinePoint),
         ] {
             for use_ldg in [false, true] {
-                let r = color_data(&g, &det(&dev), &opts(), use_ldg).unwrap();
+                let r = color_data(&g, &SimtBackend::new(&dev), &opts(), use_ldg).unwrap();
                 verify_coloring(&g, &r.colors).unwrap();
                 assert!(r.num_colors <= g.max_degree() + 1);
             }
@@ -229,8 +225,9 @@ mod tests {
     fn matches_topology_driven_in_deterministic_mode_quality() {
         let dev = Device::tiny();
         let g = rmat(RmatParams::erdos_renyi(10, 10), 6);
-        let t = super::super::topo::color_topo(&g, &det(&dev), &opts(), false).unwrap();
-        let d = color_data(&g, &det(&dev), &opts(), false).unwrap();
+        let t =
+            super::super::topo::color_topo(&g, &SimtBackend::new(&dev), &opts(), false).unwrap();
+        let d = color_data(&g, &SimtBackend::new(&dev), &opts(), false).unwrap();
         verify_coloring(&g, &d.colors).unwrap();
         // Both are SGR; counts land within a few colors of each other.
         assert!(
@@ -245,7 +242,7 @@ mod tests {
     fn uses_per_block_atomics_not_per_thread() {
         let dev = Device::tiny();
         let g = erdos_renyi(2000, 10_000, 3);
-        let r = color_data(&g, &det(&dev), &opts(), false).unwrap();
+        let r = color_data(&g, &SimtBackend::new(&dev), &opts(), false).unwrap();
         verify_coloring(&g, &r.colors).unwrap();
         // Atomics across all kernels should be ~one per block per detect
         // pass, far below one per vertex per pass.
@@ -268,9 +265,9 @@ mod tests {
     #[test]
     fn empty_graph_and_singleton() {
         let dev = Device::tiny();
-        let r = color_data(&Csr::empty(0), &det(&dev), &opts(), false).unwrap();
+        let r = color_data(&Csr::empty(0), &SimtBackend::new(&dev), &opts(), false).unwrap();
         assert_eq!(r.num_colors, 0);
-        let r = color_data(&Csr::empty(3), &det(&dev), &opts(), false).unwrap();
+        let r = color_data(&Csr::empty(3), &SimtBackend::new(&dev), &opts(), false).unwrap();
         assert_eq!(r.colors, vec![1, 1, 1]);
     }
 
@@ -278,18 +275,9 @@ mod tests {
     fn deterministic_reproducible() {
         let dev = Device::tiny();
         let g = erdos_renyi(600, 3000, 8);
-        let a = color_data(&g, &det(&dev), &opts(), true).unwrap();
-        let b = color_data(&g, &det(&dev), &opts(), true).unwrap();
+        let a = color_data(&g, &SimtBackend::new(&dev), &opts(), true).unwrap();
+        let b = color_data(&g, &SimtBackend::new(&dev), &opts(), true).unwrap();
         assert_eq!(a.colors, b.colors);
         assert_eq!(a.iterations, b.iterations);
-    }
-
-    #[test]
-    fn parallel_mode_valid() {
-        let dev = Device::tiny();
-        let g = erdos_renyi(1500, 9000, 13);
-        let backend = SimtBackend::new(&dev, ExecMode::Parallel);
-        let r = color_data(&g, &backend, &opts(), false).unwrap();
-        verify_coloring(&g, &r.colors).unwrap();
     }
 }

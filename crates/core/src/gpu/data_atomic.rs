@@ -162,14 +162,10 @@ mod tests {
     use gcol_graph::check::verify_coloring;
     use gcol_graph::gen::simple::{complete, erdos_renyi};
     use gcol_graph::gen::{grid2d, StencilKind};
-    use gcol_simt::{Device, ExecMode, SimtBackend};
+    use gcol_simt::{Device, SimtBackend};
 
     fn opts() -> ColorOptions {
         ColorOptions::default()
-    }
-
-    fn det(dev: &Device) -> SimtBackend<'_> {
-        SimtBackend::new(dev, ExecMode::Deterministic)
     }
 
     #[test]
@@ -180,7 +176,7 @@ mod tests {
             erdos_renyi(800, 4000, 2),
             grid2d(25, 25, StencilKind::FivePoint),
         ] {
-            let r = color_data_atomic(&g, &det(&dev), &opts()).unwrap();
+            let r = color_data_atomic(&g, &SimtBackend::new(&dev), &opts()).unwrap();
             verify_coloring(&g, &r.colors).unwrap();
             assert!(r.num_colors <= g.max_degree() + 1);
         }
@@ -192,8 +188,9 @@ mod tests {
         // A stencil graph guarantees warp-mate conflicts → non-empty
         // worklists → contended pushes.
         let g = grid2d(40, 40, StencilKind::FivePoint);
-        let atomic = color_data_atomic(&g, &det(&dev), &opts()).unwrap();
-        let prefix = super::super::data::color_data(&g, &det(&dev), &opts(), false).unwrap();
+        let atomic = color_data_atomic(&g, &SimtBackend::new(&dev), &opts()).unwrap();
+        let prefix =
+            super::super::data::color_data(&g, &SimtBackend::new(&dev), &opts(), false).unwrap();
         let serial = |c: &Coloring| -> u64 {
             c.profile
                 .phases
@@ -216,10 +213,10 @@ mod tests {
     fn same_quality_as_prefix_sum_variant() {
         let dev = Device::tiny();
         let g = erdos_renyi(1000, 8000, 5);
-        let a = color_data_atomic(&g, &det(&dev), &opts()).unwrap();
-        let b = super::super::data::color_data(&g, &det(&dev), &opts(), false).unwrap();
-        // Same algorithm, different worklist plumbing: same color count in
-        // deterministic mode.
+        let a = color_data_atomic(&g, &SimtBackend::new(&dev), &opts()).unwrap();
+        let b =
+            super::super::data::color_data(&g, &SimtBackend::new(&dev), &opts(), false).unwrap();
+        // Same algorithm, different worklist plumbing: same color count.
         assert_eq!(a.num_colors, b.num_colors);
     }
 }

@@ -65,16 +65,10 @@ pub fn recolor_delta(
         return Ok(unchanged(base));
     }
     match opts.backend {
-        BackendKind::Simt => repair_on(
-            &SimtBackend::new(dev, opts.exec_mode),
-            g,
-            base,
-            &dirty,
-            opts,
-        ),
+        BackendKind::Simt => repair_on(&SimtBackend::new(dev), g, base, &dirty, opts),
         BackendKind::Native => repair_on(&NativeBackend::new(), g, base, &dirty, opts),
         BackendKind::Sanitize => {
-            let backend = SanitizeBackend::new(SimtBackend::new(dev, opts.exec_mode));
+            let backend = SanitizeBackend::new(SimtBackend::new(dev));
             backend.set_context(base.scheme.name());
             let coloring = repair_on(&backend, g, base, &dirty, opts)?;
             let report = backend.take_report();
@@ -103,7 +97,7 @@ pub fn recolor_delta_sanitized(
     if dirty.is_empty() {
         return Ok((unchanged(base), SanitizerReport::default()));
     }
-    let backend = SanitizeBackend::new(SimtBackend::new(dev, opts.exec_mode));
+    let backend = SanitizeBackend::new(SimtBackend::new(dev));
     backend.set_context(base.scheme.name());
     let coloring = repair_on(&backend, g, base, &dirty, opts)?;
     Ok((coloring, backend.take_report()))

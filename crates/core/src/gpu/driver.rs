@@ -175,7 +175,7 @@ impl<'b, B: Backend> SpecGreedyDriver<'b, B> {
 mod tests {
     use super::*;
     use gcol_graph::gen::simple::cycle;
-    use gcol_simt::{Device, ExecMode, SimtBackend};
+    use gcol_simt::{Device, SimtBackend};
 
     fn driver<'b>(
         backend: &'b SimtBackend<'_>,
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn max_iterations_yields_typed_error() {
         let dev = Device::tiny();
-        let backend = SimtBackend::new(&dev, ExecMode::Deterministic);
+        let backend = SimtBackend::new(&dev);
         let opts = ColorOptions {
             max_iterations: 3,
             ..ColorOptions::default()
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn upload_bytes_are_self_describing() {
         let dev = Device::tiny();
-        let backend = SimtBackend::new(&dev, ExecMode::Deterministic);
+        let backend = SimtBackend::new(&dev);
         let opts = ColorOptions {
             charge_h2d: true,
             ..ColorOptions::default()
@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn pass_count_is_returned() {
         let dev = Device::tiny();
-        let backend = SimtBackend::new(&dev, ExecMode::Deterministic);
+        let backend = SimtBackend::new(&dev);
         let opts = ColorOptions::default();
         let g = cycle(6);
         let mut d = driver(&backend, &g, &opts);

@@ -30,7 +30,7 @@ pub fn color_sanitized(
 ) -> Result<(Coloring, SanitizerReport), ColorError> {
     if opts.num_shards > 1 && scheme.is_gpu() {
         let fleet = ShardedBackend::uniform(opts.num_shards, |_| {
-            let b = SanitizeBackend::new(SimtBackend::new(dev, opts.exec_mode));
+            let b = SanitizeBackend::new(SimtBackend::new(dev));
             b.set_context(scheme.name());
             b
         });
@@ -41,7 +41,7 @@ pub fn color_sanitized(
         }
         return Ok((coloring, report));
     }
-    let backend = SanitizeBackend::new(SimtBackend::new(dev, opts.exec_mode));
+    let backend = SanitizeBackend::new(SimtBackend::new(dev));
     backend.set_context(scheme.name());
     let coloring = scheme.try_color_on(&backend, g, opts)?;
     Ok((coloring, backend.take_report()))

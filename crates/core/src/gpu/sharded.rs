@@ -111,8 +111,8 @@
 //! transfer time, and one `Host` phase with the detect+recolor critical
 //! path. Phase durations sum to the fleet's final clock. Backends without
 //! a modeled interconnect (the native path) record no `Transfer` phases.
-//! Under `ExecMode::Deterministic` on the SIMT backend every number is
-//! bit-stable — the golden sharded fingerprints rely on that.
+//! On the SIMT backend every number is bit-stable — the golden sharded
+//! fingerprints rely on that.
 
 use super::frontier::{ExchangeKind, FrontierFrame};
 use super::repair::{RepairEngine, JITTER_SPAN};
@@ -444,10 +444,10 @@ mod tests {
     use gcol_graph::check::{count_colors, verify_coloring};
     use gcol_graph::gen::mesh2d;
     use gcol_graph::gen::simple::{complete, cycle, erdos_renyi};
-    use gcol_simt::{Device, ExecMode, NativeBackend, Phase, SimtBackend};
+    use gcol_simt::{Device, NativeBackend, Phase, SimtBackend};
 
     fn simt_fleet(dev: &Device, p: usize) -> ShardedBackend<SimtBackend<'_>> {
-        ShardedBackend::uniform(p, |_| SimtBackend::new(dev, ExecMode::Deterministic))
+        ShardedBackend::uniform(p, |_| SimtBackend::new(dev))
     }
 
     /// Sum of d2d frontier bytes recorded in a run's profile.

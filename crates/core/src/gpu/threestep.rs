@@ -195,14 +195,10 @@ mod tests {
     use super::*;
     use gcol_graph::check::verify_coloring;
     use gcol_graph::gen::simple::{complete, cycle, erdos_renyi, star};
-    use gcol_simt::{Device, ExecMode, SimtBackend};
+    use gcol_simt::{Device, SimtBackend};
 
     fn opts() -> ColorOptions {
         ColorOptions::default()
-    }
-
-    fn det(dev: &Device) -> SimtBackend<'_> {
-        SimtBackend::new(dev, ExecMode::Deterministic)
     }
 
     #[test]
@@ -214,7 +210,7 @@ mod tests {
             star(200),
             erdos_renyi(1000, 6000, 3),
         ] {
-            let r = color_threestep(&g, &det(&dev), &opts()).unwrap();
+            let r = color_threestep(&g, &SimtBackend::new(&dev), &opts()).unwrap();
             verify_coloring(&g, &r.colors).unwrap();
             assert!(r.num_colors <= g.max_degree() + 1);
         }
@@ -225,7 +221,7 @@ mod tests {
         let dev = Device::tiny();
         let g = erdos_renyi(2000, 16_000, 9);
         let seq = crate::seq::greedy_seq(&g, gcol_graph::ordering::Ordering::Natural);
-        let r = color_threestep(&g, &det(&dev), &opts()).unwrap();
+        let r = color_threestep(&g, &SimtBackend::new(&dev), &opts()).unwrap();
         assert!(
             (r.num_colors as i64 - seq.num_colors as i64).abs() <= 3,
             "3-step {} vs seq {}",
@@ -240,7 +236,7 @@ mod tests {
         // trips and the sequential step are what sink this baseline.
         let dev = Device::k20c();
         let g = erdos_renyi(3000, 20_000, 2);
-        let r = color_threestep(&g, &det(&dev), &opts()).unwrap();
+        let r = color_threestep(&g, &SimtBackend::new(&dev), &opts()).unwrap();
         assert!(r.profile.transfer_ms() > 0.0);
         assert!(r.profile.host_ms() > 0.0);
         assert!(r.profile.kernel_ms() > 0.0);
@@ -253,7 +249,7 @@ mod tests {
         let g = erdos_renyi(800, 5000, 4);
         let r = color_threestep(
             &g,
-            &det(&dev),
+            &SimtBackend::new(&dev),
             &ColorOptions {
                 threestep_rounds: 1,
                 ..opts()
@@ -266,7 +262,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let dev = Device::tiny();
-        let r = color_threestep(&Csr::empty(0), &det(&dev), &opts()).unwrap();
+        let r = color_threestep(&Csr::empty(0), &SimtBackend::new(&dev), &opts()).unwrap();
         assert_eq!(r.num_colors, 0);
     }
 }

@@ -143,14 +143,10 @@ mod tests {
     use gcol_graph::check::verify_coloring;
     use gcol_graph::gen::simple::{complete, erdos_renyi, star};
     use gcol_graph::gen::{rmat, RmatParams};
-    use gcol_simt::{Device, ExecMode, SimtBackend};
+    use gcol_simt::{Device, SimtBackend};
 
     fn opts() -> ColorOptions {
         ColorOptions::default()
-    }
-
-    fn det(dev: &Device) -> SimtBackend<'_> {
-        SimtBackend::new(dev, ExecMode::Deterministic)
     }
 
     #[test]
@@ -164,7 +160,7 @@ mod tests {
     fn colors_properly() {
         let dev = Device::tiny();
         for g in [complete(14), star(200), erdos_renyi(900, 5400, 3)] {
-            let r = color_topo_edge(&g, &det(&dev), &opts()).unwrap();
+            let r = color_topo_edge(&g, &SimtBackend::new(&dev), &opts()).unwrap();
             verify_coloring(&g, &r.colors).unwrap();
             assert!(r.num_colors <= g.max_degree() + 1);
         }
@@ -174,10 +170,11 @@ mod tests {
     fn same_quality_as_vertex_parallel_topo() {
         let dev = Device::tiny();
         let g = erdos_renyi(1200, 7200, 8);
-        let edge = color_topo_edge(&g, &det(&dev), &opts()).unwrap();
-        let vertex = super::super::topo::color_topo(&g, &det(&dev), &opts(), true).unwrap();
-        // Identical coloring kernels ⇒ identical colors in deterministic
-        // mode (detection order differs but flags the same losers).
+        let edge = color_topo_edge(&g, &SimtBackend::new(&dev), &opts()).unwrap();
+        let vertex =
+            super::super::topo::color_topo(&g, &SimtBackend::new(&dev), &opts(), true).unwrap();
+        // Identical coloring kernels ⇒ identical colors (detection order
+        // differs but flags the same losers).
         assert_eq!(edge.num_colors, vertex.num_colors);
     }
 
@@ -187,8 +184,9 @@ mod tests {
         // the hub's chain; compare the detect kernels' time directly.
         let dev = Device::k20c();
         let g = rmat(RmatParams::skewed(12, 12), 7);
-        let edge = color_topo_edge(&g, &det(&dev), &opts()).unwrap();
-        let vertex = super::super::topo::color_topo(&g, &det(&dev), &opts(), true).unwrap();
+        let edge = color_topo_edge(&g, &SimtBackend::new(&dev), &opts()).unwrap();
+        let vertex =
+            super::super::topo::color_topo(&g, &SimtBackend::new(&dev), &opts(), true).unwrap();
         let detect_ms = |c: &Coloring, name: &str| -> f64 {
             c.profile
                 .phases
@@ -211,7 +209,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let dev = Device::tiny();
-        let r = color_topo_edge(&Csr::empty(0), &det(&dev), &opts()).unwrap();
+        let r = color_topo_edge(&Csr::empty(0), &SimtBackend::new(&dev), &opts()).unwrap();
         assert_eq!(r.num_colors, 0);
     }
 }

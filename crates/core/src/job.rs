@@ -3,8 +3,8 @@
 //!
 //! A coloring run is a pure function of the CSR bytes and the knobs that
 //! can change its output: the scheme, the execution backend, the shard
-//! count, the hash seed, the block size, the execution mode, the
-//! ghost-exchange wire format and the scheme-specific tuning options.
+//! count, the hash seed, the block size, the ghost-exchange wire format
+//! and the scheme-specific tuning options.
 //! [`JobSpec`] packages those knobs, and
 //! [`JobSpec::fingerprint`] folds them together with
 //! [`Csr::content_fingerprint`] into a 128-bit [`Fingerprint`]: equal
@@ -97,13 +97,6 @@ impl JobSpec {
         h = mix(h, o.num_hashes as u64);
         h = mix(
             h,
-            match o.exec_mode {
-                gcol_simt::ExecMode::Parallel => 1,
-                gcol_simt::ExecMode::Deterministic => 2,
-            },
-        );
-        h = mix(
-            h,
             match o.exchange {
                 crate::ExchangeKind::Dense => 1,
                 crate::ExchangeKind::Delta => 2,
@@ -183,13 +176,6 @@ mod tests {
             JobSpec {
                 scheme: Scheme::TopoBase,
                 opts: base.opts.clone().with_num_hashes(4),
-            },
-            JobSpec {
-                scheme: Scheme::TopoBase,
-                opts: base
-                    .opts
-                    .clone()
-                    .with_exec_mode(gcol_simt::ExecMode::Parallel),
             },
             JobSpec {
                 scheme: Scheme::TopoBase,

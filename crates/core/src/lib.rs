@@ -35,7 +35,7 @@ pub mod seq;
 use gcol_graph::check::Color;
 use gcol_graph::ordering::Ordering;
 use gcol_graph::Csr;
-use gcol_simt::{CpuModel, Device, ExecMode, NativeBackend, SimtBackend};
+use gcol_simt::{CpuModel, Device, NativeBackend, SimtBackend};
 use serde::{Deserialize, Serialize};
 
 pub use gcol_graph::check::{
@@ -53,8 +53,6 @@ pub struct ColorOptions {
     /// Threads per block for the GPU schemes. The paper's default is 128
     /// (Fig. 8 shows it is the best average choice).
     pub block_size: u32,
-    /// Simulator execution mode.
-    pub exec_mode: ExecMode,
     /// Safety valve on speculate/detect rounds and MIS sweeps.
     pub max_iterations: usize,
     /// Seed for hash priorities (JP, csrcolor).
@@ -95,12 +93,6 @@ impl ColorOptions {
     /// ```
     pub fn with_block_size(mut self, block_size: u32) -> Self {
         self.block_size = block_size;
-        self
-    }
-
-    /// Fluent setter: execution mode.
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
         self
     }
 
@@ -145,7 +137,6 @@ impl Default for ColorOptions {
     fn default() -> Self {
         Self {
             block_size: 128,
-            exec_mode: ExecMode::Deterministic,
             max_iterations: 10_000,
             seed: 0x5EED_C010_7175,
             num_hashes: 2,
@@ -410,9 +401,7 @@ impl Scheme {
                 BackendKind::Simt => gpu::color_sharded(
                     *self,
                     g,
-                    &gcol_simt::ShardedBackend::uniform(opts.num_shards, |_| {
-                        SimtBackend::new(dev, opts.exec_mode)
-                    }),
+                    &gcol_simt::ShardedBackend::uniform(opts.num_shards, |_| SimtBackend::new(dev)),
                     opts,
                 ),
                 BackendKind::Native => gpu::color_sharded(
@@ -425,7 +414,7 @@ impl Scheme {
             };
         }
         match opts.backend {
-            BackendKind::Simt => self.try_color_on(&SimtBackend::new(dev, opts.exec_mode), g, opts),
+            BackendKind::Simt => self.try_color_on(&SimtBackend::new(dev), g, opts),
             BackendKind::Native => self.try_color_on(&NativeBackend::new(), g, opts),
             BackendKind::Sanitize => unreachable!("routed above"),
         }

@@ -17,7 +17,7 @@ use gcol_core::{ColorOptions, Coloring, Scheme};
 use gcol_graph::gen::simple::erdos_renyi;
 use gcol_graph::gen::{rmat, RmatParams};
 use gcol_graph::Csr;
-use gcol_simt::{Device, ExecMode, Phase};
+use gcol_simt::{Device, Phase};
 
 /// One scheme's captured fingerprint on one graph.
 #[derive(Debug, PartialEq, Eq)]
@@ -90,7 +90,6 @@ fn graphs() -> [(&'static str, Csr); 2] {
 
 fn opts() -> ColorOptions {
     ColorOptions {
-        exec_mode: ExecMode::Deterministic,
         // Exercise the h2d charging path too: its byte accounting is part
         // of the guarded surface.
         charge_h2d: true,

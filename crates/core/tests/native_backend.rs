@@ -15,7 +15,7 @@ use gcol_graph::check::verify_coloring;
 use gcol_graph::gen::simple::{erdos_renyi, star};
 use gcol_graph::gen::{grid2d, rmat, RmatParams, StencilKind};
 use gcol_graph::Csr;
-use gcol_simt::{BackendKind, Device, ExecMode, NativeBackend, SimtBackend};
+use gcol_simt::{BackendKind, Device, NativeBackend, SimtBackend};
 
 /// The schemes that launch kernels (everything the backend layer affects).
 const GPU_SCHEMES: [Scheme; 8] = Scheme::GPU;
@@ -32,7 +32,7 @@ fn graphs() -> Vec<(&'static str, Csr)> {
 #[test]
 fn native_colors_are_proper_and_close_to_simulator() {
     let dev = Device::tiny();
-    let simt = SimtBackend::new(&dev, ExecMode::Deterministic);
+    let simt = SimtBackend::new(&dev);
     let native = NativeBackend::new();
     let opts = ColorOptions::default();
     for (name, g) in graphs() {

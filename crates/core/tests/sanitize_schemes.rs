@@ -15,7 +15,7 @@ use gcol_graph::gen::simple::erdos_renyi;
 use gcol_graph::gen::{grid2d, StencilKind};
 use gcol_graph::Csr;
 use gcol_simt::sanitize::FindingKind;
-use gcol_simt::{BackendKind, Device, ExecMode, SimtBackend};
+use gcol_simt::{BackendKind, Device, SimtBackend};
 
 fn graphs() -> Vec<(&'static str, Csr)> {
     vec![
@@ -28,7 +28,7 @@ fn graphs() -> Vec<(&'static str, Csr)> {
 fn all_gpu_schemes_run_clean_single_device() {
     let dev = Device::tiny();
     let opts = ColorOptions::default();
-    let simt = SimtBackend::new(&dev, ExecMode::Deterministic);
+    let simt = SimtBackend::new(&dev);
     for scheme in Scheme::GPU {
         let mut saw_benign = false;
         for (name, g) in graphs() {

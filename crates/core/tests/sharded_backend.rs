@@ -18,7 +18,7 @@ use gcol_graph::gen::simple::{complete, erdos_renyi, star};
 use gcol_graph::gen::{grid2d, rmat, RmatParams, StencilKind};
 use gcol_graph::partition::Partitioning;
 use gcol_graph::Csr;
-use gcol_simt::{BackendKind, Device, ExecMode, NativeBackend, Phase, ShardedBackend, SimtBackend};
+use gcol_simt::{BackendKind, Device, NativeBackend, Phase, ShardedBackend, SimtBackend};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
@@ -72,7 +72,7 @@ fn one_shard_is_label_identical_to_the_single_device_driver() {
     let dev = Device::tiny();
     let g = erdos_renyi(700, 4200, 29);
     let opts = ColorOptions::default();
-    let fleet = ShardedBackend::uniform(1, |_| SimtBackend::new(&dev, ExecMode::Deterministic));
+    let fleet = ShardedBackend::uniform(1, |_| SimtBackend::new(&dev));
     for scheme in Scheme::GPU {
         let single = scheme
             .try_color(&g, &dev, &opts)

@@ -9,12 +9,17 @@
 //! JSON subset the protocol uses: objects, arrays, strings (with `\uXXXX`
 //! escapes), finite numbers, booleans and null.
 //!
-//! Numbers are kept as `f64`, which is exact for every integer the
-//! protocol carries (ids, vertex counts, seeds up to 2^53; seeds larger
-//! than that must be sent as strings — [`crate::proto`] accepts both).
+//! Numbers are kept as `f64`, which is exact for every integer below
+//! [`EXACT_INT_LIMIT`] (2^53): ids, vertex counts and seeds below it may
+//! come as numbers; larger seeds must be sent as strings —
+//! [`crate::proto`] accepts both and rejects a number at or above the
+//! limit, which may already have been rounded to a neighbour.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// 2^53: from here up, distinct integers parse to the same `f64`.
+pub const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,11 +63,14 @@ impl Json {
         }
     }
 
-    /// The value as a `u64`: a non-negative integral number, or a string
-    /// of decimal digits (the escape hatch for 64-bit seeds above 2^53).
+    /// The value as a `u64`: a non-negative integral number below
+    /// [`EXACT_INT_LIMIT`], or a string of decimal digits (the escape
+    /// hatch for 64-bit seeds).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => Some(*x as u64),
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < EXACT_INT_LIMIT => {
+                Some(*x as u64)
+            }
             Json::Str(s) => s.parse().ok(),
             _ => None,
         }
@@ -450,6 +458,13 @@ mod tests {
         );
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
+        // 2^53 - 1 is the largest exact number; 2^53 + 1 parses to 2^53.
+        assert_eq!(
+            parse("9007199254740991").unwrap().as_u64(),
+            Some(9_007_199_254_740_991)
+        );
+        assert_eq!(parse("9007199254740993").unwrap().as_u64(), None);
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), None);
     }
 
     #[test]

@@ -25,7 +25,13 @@
 //! `op` defaults to `"color"`. Every field except `graph` is optional
 //! and defaults to the service's [`gcol_core::ColorOptions`] defaults
 //! (including `"exchange":"dense"|"delta"` for the sharded ghost wire
-//! format — part of the cache fingerprint). Graphs come inline (`r`/`c`,
+//! format — part of the cache fingerprint). A field that is present
+//! with the wrong type is a parse error naming the field, never read as
+//! absent. Integer fields take a JSON number below 2^53 or a string of
+//! decimal digits; a number at or above 2^53 is rejected (it may already
+//! have been rounded), so a full 64-bit seed is sent as a string.
+//! `"mode"` accepts only `"deterministic"` (or `"det"`): the simulator
+//! has one execution model. Graphs come inline (`r`/`c`,
 //! the CSR arrays of the paper's Fig. 2) or by generator name —
 //! resolution of names is delegated to the embedding (the bench CLI
 //! resolves the Table I suite names), keeping this crate free of
@@ -78,7 +84,7 @@
 //! `"assignment":true` adds the dense per-vertex color array to the
 //! response (off by default: it is `n` integers).
 
-use crate::json::{self, obj, Json};
+use crate::json::{self, obj, Json, EXACT_INT_LIMIT};
 use crate::service::{JobResponse, Rejection, ServeError, ServiceStats};
 use gcol_core::{
     BackendKind, ColorOptions, Coloring, ExchangeKind, Fingerprint, JobSpec, Scheme, SchemeChoice,
@@ -87,7 +93,7 @@ use gcol_graph::edit::EdgeEdit;
 use gcol_graph::io::GraphFormat;
 use gcol_graph::Csr;
 use gcol_plan::{Plan, Slo};
-use gcol_simt::ExecMode;
+use gcol_simt::MAX_BLOCK_THREADS;
 
 /// A parsed request line.
 #[derive(Debug, Clone)]
@@ -183,8 +189,8 @@ impl Request {
     /// Parses one request line.
     pub fn parse(line: &str) -> Result<Request, String> {
         let v = json::parse(line).map_err(|e| format!("malformed JSON: {e}"))?;
-        let id = v.get("id").and_then(Json::as_u64);
-        match v.get("op").and_then(Json::as_str).unwrap_or("color") {
+        let id = u64_field(&v, "id")?;
+        match str_field(&v, "op")?.unwrap_or("color") {
             "stats" => Ok(Request::Stats { id }),
             "shutdown" => Ok(Request::Shutdown { id }),
             "color" => {
@@ -193,8 +199,8 @@ impl Request {
                     id,
                     graph,
                     spec: parse_spec(&v)?,
-                    deadline_ms: v.get("deadline_ms").and_then(Json::as_u64),
-                    assignment: v.get("assignment").and_then(Json::as_bool).unwrap_or(false),
+                    deadline_ms: u64_field(&v, "deadline_ms")?,
+                    assignment: bool_field(&v, "assignment")?.unwrap_or(false),
                 })
             }
             "mutate" => Ok(Request::Mutate {
@@ -203,12 +209,10 @@ impl Request {
                 edits: parse_edits(&v)?,
             }),
             "load" => {
-                let data = v
-                    .get("data")
-                    .and_then(Json::as_str)
+                let data = str_field(&v, "data")?
                     .ok_or("missing \"data\"")?
                     .to_string();
-                let format = match v.get("format").and_then(Json::as_str) {
+                let format = match str_field(&v, "format")? {
                     None => None,
                     Some(name) => Some(
                         GraphFormat::parse(name)
@@ -219,13 +223,13 @@ impl Request {
                     id,
                     format,
                     data,
-                    last: v.get("last").and_then(Json::as_bool).unwrap_or(true),
+                    last: bool_field(&v, "last")?.unwrap_or(true),
                 })
             }
             "recolor" => Ok(Request::Recolor {
                 id,
                 spec: parse_spec(&v)?,
-                assignment: v.get("assignment").and_then(Json::as_bool).unwrap_or(false),
+                assignment: bool_field(&v, "assignment")?.unwrap_or(false),
             }),
             other => Err(format!("unknown op {other:?}")),
         }
@@ -261,15 +265,53 @@ impl SpecRequest {
     }
 }
 
+/// Field `name` of `v` as a string: `None` when absent, an error naming
+/// the field when it is present with another type.
+fn str_field<'a>(v: &'a Json, name: &str) -> Result<Option<&'a str>, String> {
+    v.get(name)
+        .map(|x| {
+            x.as_str()
+                .ok_or_else(|| format!("\"{name}\" must be a string"))
+        })
+        .transpose()
+}
+
+/// Field `name` of `v` as a bool, under [`str_field`]'s rules.
+fn bool_field(v: &Json, name: &str) -> Result<Option<bool>, String> {
+    v.get(name)
+        .map(|x| {
+            x.as_bool()
+                .ok_or_else(|| format!("\"{name}\" must be true or false"))
+        })
+        .transpose()
+}
+
+/// Field `name` of `v` as an unsigned integer, under [`str_field`]'s
+/// rules: a JSON number below 2^53 or a string of decimal digits.
+fn u64_field(v: &Json, name: &str) -> Result<Option<u64>, String> {
+    let Some(x) = v.get(name) else {
+        return Ok(None);
+    };
+    if matches!(x, Json::Num(n) if *n >= EXACT_INT_LIMIT) {
+        return Err(format!(
+            "\"{name}\" is too large for an exact JSON number (2^53 or more): \
+             send it as a string of decimal digits"
+        ));
+    }
+    x.as_u64()
+        .map(Some)
+        .ok_or_else(|| format!("\"{name}\" must be an unsigned integer"))
+}
+
 /// Parses the scheme + option fields shared by `color` and `recolor`.
 fn parse_spec(v: &Json) -> Result<SpecRequest, String> {
-    let choice = match v.get("scheme").and_then(Json::as_str) {
+    let choice = match str_field(v, "scheme")? {
         None => SchemeChoice::Fixed(Scheme::TopoBase),
         Some(name) => name
             .parse::<SchemeChoice>()
             .map_err(|_| format!("unknown scheme {name:?}"))?,
     };
-    let slo = match v.get("slo").and_then(Json::as_str) {
+    let slo = match str_field(v, "slo")? {
         None => None,
         Some(name) => {
             if choice != SchemeChoice::Auto {
@@ -279,37 +321,39 @@ fn parse_spec(v: &Json) -> Result<SpecRequest, String> {
         }
     };
     let mut opts = ColorOptions::default();
-    if let Some(b) = v.get("backend").and_then(Json::as_str) {
+    if let Some(b) = str_field(v, "backend")? {
         opts.backend = b
             .parse::<BackendKind>()
             .map_err(|_| format!("unknown backend {b:?}"))?;
     }
-    if let Some(s) = v.get("shards").and_then(Json::as_u64) {
+    if let Some(s) = u64_field(v, "shards")? {
         if s == 0 {
             return Err("\"shards\" must be >= 1".into());
         }
         opts.num_shards = s as usize;
     }
-    if let Some(s) = v.get("seed").and_then(Json::as_u64) {
+    if let Some(s) = u64_field(v, "seed")? {
         opts.seed = s;
     }
-    if let Some(b) = v.get("block").and_then(Json::as_u64) {
-        if !(1..=1024).contains(&b) {
-            return Err(format!("\"block\" must be in 1..=1024, got {b}"));
+    if let Some(b) = u64_field(v, "block")? {
+        if !(1..=MAX_BLOCK_THREADS as u64).contains(&b) {
+            return Err(format!(
+                "\"block\" must be in 1..={MAX_BLOCK_THREADS}, got {b}"
+            ));
         }
         opts.block_size = b as u32;
     }
-    if let Some(h) = v.get("hashes").and_then(Json::as_u64) {
+    if let Some(h) = u64_field(v, "hashes")? {
         opts.num_hashes = h as usize;
     }
-    if let Some(m) = v.get("mode").and_then(Json::as_str) {
-        opts.exec_mode = match m {
-            "deterministic" | "det" => ExecMode::Deterministic,
-            "parallel" | "par" => ExecMode::Parallel,
-            other => return Err(format!("unknown exec mode {other:?}")),
-        };
+    if let Some(m) = str_field(v, "mode")? {
+        if !matches!(m, "deterministic" | "det") {
+            return Err(format!(
+                "unknown exec mode {m:?} (the only mode is \"deterministic\")"
+            ));
+        }
     }
-    if let Some(x) = v.get("exchange").and_then(Json::as_str) {
+    if let Some(x) = str_field(v, "exchange")? {
         opts.exchange = x.parse::<ExchangeKind>()?;
     }
     Ok(SpecRequest { choice, slo, opts })
@@ -367,15 +411,15 @@ fn parse_graph(v: &Json) -> Result<GraphSpec, String> {
             .map_err(|e| format!("invalid CSR arrays: {e:?}"))?;
         return Ok(GraphSpec::Inline(g));
     }
-    if let Some(name) = v.get("gen").and_then(Json::as_str) {
+    if let Some(name) = str_field(v, "gen")? {
+        let scale = match u64_field(v, "scale")? {
+            None => 12,
+            Some(s) => u32::try_from(s).map_err(|_| format!("\"scale\" {s} is out of range"))?,
+        };
         return Ok(GraphSpec::Named {
             name: name.to_string(),
-            scale: v
-                .get("scale")
-                .and_then(Json::as_u64)
-                .map(|s| s as u32)
-                .unwrap_or(12),
-            seed: v.get("seed").and_then(Json::as_u64).unwrap_or(0),
+            scale,
+            seed: u64_field(v, "seed")?.unwrap_or(0),
         });
     }
     Err("\"graph\" needs inline {\"r\":…,\"c\":…}, {\"gen\":…} or \"session\"".into())
@@ -873,6 +917,75 @@ mod tests {
         ] {
             assert!(Request::parse(line).is_err(), "{line:?} should fail");
         }
+    }
+
+    /// A present option field of the wrong type is an error naming the
+    /// field, not the default.
+    #[test]
+    fn rejects_wrongly_typed_option_fields() {
+        for (field, value) in [
+            ("shards", r#""two""#),
+            ("backend", "3"),
+            ("mode", "7"),
+            ("scheme", "true"),
+            ("seed", r#""0x10""#),
+            ("block", "null"),
+            ("exchange", "[]"),
+            ("assignment", "1"),
+            ("deadline_ms", "-5"),
+            ("id", r#""one""#),
+            ("op", "5"),
+        ] {
+            let line = format!(r#"{{"graph":{{"r":[0,0],"c":[]}},"{field}":{value}}}"#);
+            let err = Request::parse(&line).expect_err(&line);
+            assert!(err.contains(&format!("\"{field}\"")), "{line}: {err}");
+        }
+        let err = Request::parse(r#"{"graph":{"gen":"rmat","scale":"big"}}"#).unwrap_err();
+        assert!(err.contains("\"scale\""), "{err}");
+    }
+
+    /// Only the deterministic model exists; any other mode is refused.
+    #[test]
+    fn mode_accepts_only_deterministic() {
+        for m in ["deterministic", "det"] {
+            let line = format!(r#"{{"graph":{{"r":[0,0],"c":[]}},"mode":"{m}"}}"#);
+            assert!(Request::parse(&line).is_ok(), "{m}");
+        }
+        for m in ["parallel", "par", ""] {
+            let line = format!(r#"{{"graph":{{"r":[0,0],"c":[]}},"mode":"{m}"}}"#);
+            let err = Request::parse(&line).expect_err(m);
+            assert!(err.contains("exec mode"), "{m}: {err}");
+        }
+    }
+
+    /// Integers a JSON number cannot carry exactly are refused with a
+    /// pointer to the string form, which carries every u64.
+    #[test]
+    fn large_numeric_seeds_must_be_strings() {
+        let seed_of = |seed: &str| -> Result<u64, String> {
+            let line = format!(r#"{{"graph":{{"r":[0,0],"c":[]}},"seed":{seed}}}"#);
+            match Request::parse(&line)? {
+                Request::Color { spec, .. } => Ok(spec.opts.seed),
+                other => panic!("wrong parse: {other:?}"),
+            }
+        };
+        for big in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551615",
+            "1e300",
+        ] {
+            let err = seed_of(big).unwrap_err();
+            assert!(
+                err.contains("\"seed\"") && err.contains("string"),
+                "{big}: {err}"
+            );
+        }
+        assert_eq!(seed_of("9007199254740991"), Ok(9_007_199_254_740_991));
+        assert_eq!(seed_of(r#""9007199254740993""#), Ok(9_007_199_254_740_993));
+        assert_eq!(seed_of(r#""18446744073709551615""#), Ok(u64::MAX));
+        // The graph generator's seed follows the same rule.
+        assert!(Request::parse(r#"{"graph":{"gen":"rmat","seed":9007199254740993}}"#).is_err());
     }
 
     #[test]

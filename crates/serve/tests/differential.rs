@@ -8,7 +8,7 @@ use gcol_core::{BackendKind, ColorOptions, JobSpec, Scheme};
 use gcol_graph::gen::{self, RmatParams};
 use gcol_graph::Csr;
 use gcol_serve::{JobRequest, ResultSource, Service, ServiceConfig};
-use gcol_simt::{Device, ExecMode};
+use gcol_simt::Device;
 use std::sync::Arc;
 
 fn graphs() -> Vec<(&'static str, Arc<Csr>)> {
@@ -87,11 +87,7 @@ fn assert_served_matches_direct(opts_for: &dyn Fn(Scheme) -> ColorOptions, check
 #[test]
 fn served_equals_direct_simt_deterministic() {
     assert_served_matches_direct(
-        &|_| {
-            ColorOptions::default()
-                .with_backend(BackendKind::Simt)
-                .with_exec_mode(ExecMode::Deterministic)
-        },
+        &|_| ColorOptions::default().with_backend(BackendKind::Simt),
         true,
     );
 }
@@ -110,7 +106,6 @@ fn served_equals_direct_sharded_backend() {
         &|_| {
             ColorOptions::default()
                 .with_backend(BackendKind::Simt)
-                .with_exec_mode(ExecMode::Deterministic)
                 .with_shards(2)
         },
         true,
@@ -127,9 +122,7 @@ fn coalesced_twin_is_bit_identical_to_direct() {
         ..ServiceConfig::default()
     });
     let g = Arc::new(gen::rmat(RmatParams::erdos_renyi(8, 8), 7));
-    let opts = ColorOptions::default()
-        .with_backend(BackendKind::Simt)
-        .with_exec_mode(ExecMode::Deterministic);
+    let opts = ColorOptions::default().with_backend(BackendKind::Simt);
     let direct = Scheme::DataBase.try_color(&g, &device, &opts).unwrap();
     let spec = spec_with(Scheme::DataBase, opts);
     let a = svc

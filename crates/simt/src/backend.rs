@@ -6,14 +6,14 @@
 //! implementations:
 //!
 //! * [`SimtBackend`] — the paper-faithful path: the tracing simulator with
-//!   its analytic timing model. Deterministic mode is bit-stable.
+//!   its analytic timing model, bit-stable run to run.
 //! * [`NativeBackend`] — the production path: the same kernels over rayon
 //!   at host speed. Kernel phases record *wall-clock* time as
 //!   [`crate::profile::Phase::Host`] entries; transfers are free (there is
 //!   no PCIe on the host path).
 
 use crate::config::Device;
-use crate::exec::{launch, launch_coop, ExecMode};
+use crate::exec::{launch, launch_coop};
 use crate::kernel::{CoopKernel, Kernel};
 use crate::mem::GpuMem;
 use crate::native::{launch_coop_native, launch_native};
@@ -105,14 +105,12 @@ impl CopyStream {
 pub struct SimtBackend<'d> {
     /// The simulated device (timing model parameters).
     pub dev: &'d Device,
-    /// Host-thread mapping of the simulation.
-    pub mode: ExecMode,
 }
 
 impl<'d> SimtBackend<'d> {
-    /// A backend simulating `dev` under `mode`.
-    pub fn new(dev: &'d Device, mode: ExecMode) -> Self {
-        Self { dev, mode }
+    /// A backend simulating `dev`.
+    pub fn new(dev: &'d Device) -> Self {
+        Self { dev }
     }
 }
 
@@ -129,14 +127,7 @@ impl Backend for SimtBackend<'_> {
         kernel: &K,
         profile: &mut RunProfile,
     ) {
-        profile.kernel(launch(
-            mem,
-            self.dev,
-            self.mode,
-            grid,
-            block_threads,
-            kernel,
-        ));
+        profile.kernel(launch(mem, self.dev, grid, block_threads, kernel));
     }
 
     fn launch_coop<K: CoopKernel>(
@@ -147,7 +138,7 @@ impl Backend for SimtBackend<'_> {
         kernel: &K,
         profile: &mut RunProfile,
     ) -> u32 {
-        let (stats, total) = launch_coop(mem, self.dev, self.mode, grid, block_threads, kernel);
+        let (stats, total) = launch_coop(mem, self.dev, grid, block_threads, kernel);
         profile.kernel(stats);
         total
     }
@@ -358,7 +349,7 @@ mod tests {
     #[test]
     fn both_backends_execute_the_same_kernel() {
         let dev = Device::tiny();
-        let (simt_vals, simt_prof) = run_on(&SimtBackend::new(&dev, ExecMode::Deterministic));
+        let (simt_vals, simt_prof) = run_on(&SimtBackend::new(&dev));
         let (native_vals, native_prof) = run_on(&NativeBackend::new());
         assert_eq!(simt_vals, vec![11, 21, 31, 41]);
         assert_eq!(native_vals, simt_vals);
@@ -374,7 +365,7 @@ mod tests {
     #[test]
     fn sharded_fleet_exposes_devices_and_charges_exchanges() {
         let dev = Device::tiny();
-        let fleet = ShardedBackend::uniform(3, |_| SimtBackend::new(&dev, ExecMode::Deterministic));
+        let fleet = ShardedBackend::uniform(3, |_| SimtBackend::new(&dev));
         assert_eq!(fleet.num_devices(), 3);
         assert_eq!(fleet.device(2).name(), "simt");
         let mut profile = RunProfile::new();
@@ -395,7 +386,7 @@ mod tests {
     #[test]
     fn transfer_cost_hook_prices_only_modeled_interconnects() {
         let dev = Device::tiny();
-        let simt = SimtBackend::new(&dev, ExecMode::Deterministic);
+        let simt = SimtBackend::new(&dev);
         // The pricing hook matches what `transfer` would charge...
         let cost = simt.transfer_cost_ms(4096).expect("simt models PCIe");
         let mut profile = RunProfile::new();
@@ -405,7 +396,7 @@ mod tests {
         assert!(simt.transfer_cost_ms(1 << 20).unwrap() > cost);
         assert_eq!(NativeBackend::new().transfer_cost_ms(4096), None);
 
-        let fleet = ShardedBackend::uniform(2, |_| SimtBackend::new(&dev, ExecMode::Deterministic));
+        let fleet = ShardedBackend::uniform(2, |_| SimtBackend::new(&dev));
         assert_eq!(fleet.link_cost_ms(1, 4096), Some(cost));
         let native = ShardedBackend::uniform(2, |_| NativeBackend::new());
         assert_eq!(native.link_cost_ms(0, 4096), None);

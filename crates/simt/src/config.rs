@@ -41,8 +41,7 @@ pub struct Device {
     pub ro_line_bytes: u32,
     /// Read-only cache associativity.
     pub ro_ways: u32,
-    /// Total L2 cache in bytes (shared by all SMs; the simulator models a
-    /// per-SM slice of `l2_bytes / num_sms`).
+    /// Total L2 cache in bytes, one chip-wide cache shared by all SMs.
     pub l2_bytes: u32,
     /// L2 line (sector) size in bytes — Kepler moves 32-byte sectors for
     /// scattered accesses.

@@ -1,20 +1,13 @@
 //! The kernel executor: functional SIMT execution + timing accounting.
 //!
-//! Blocks are assigned to SMs round-robin (`sm = block_id % num_sms`), and
-//! each SM is simulated independently — its own read-only cache and L2
-//! slice — so per-SM timing is deterministic regardless of host thread
-//! scheduling. Two execution modes:
-//!
-//! * [`ExecMode::Parallel`] — SMs simulated concurrently with rayon. The
-//!   *timing* stays deterministic; *functional* values may vary across runs
-//!   wherever the algorithm itself races (exactly the speculative races the
-//!   GM scheme tolerates on real hardware).
-//! * [`ExecMode::Deterministic`] — blocks execute in increasing id order,
-//!   so results are bit-stable. Tests use this mode. The launching thread
-//!   runs the blocks and gathers each warp's trace; a replay worker owned
-//!   by that thread charges the gathered accesses to the SMs' timing state
-//!   in the same order (see the `pipeline` module). The two overlap, and
-//!   every modeled number is the one a single thread would compute.
+//! Blocks are assigned to SMs round-robin (`sm = block_id % num_sms`) and
+//! execute in increasing id order, so functional results and timing are
+//! bit-stable. Each SM has its own read-only cache; all SMs share one
+//! chip-wide L2, as on GK110. The launching thread runs the blocks and
+//! gathers each warp's trace; a replay worker owned by that thread charges
+//! the gathered accesses to the SMs' timing state in the same order (see
+//! the `pipeline` module). The two overlap, and every modeled number is
+//! the one a single thread would compute.
 
 #![allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 
@@ -22,32 +15,26 @@ use crate::config::Device;
 use crate::kernel::{CoopKernel, Kernel, ThreadCtx};
 use crate::mem::GpuMem;
 use crate::pipeline::pipelined;
-use crate::timing::cache::Cache;
 use crate::timing::occupancy::occupancy;
-use crate::timing::{finalize, KernelStats, SmState};
+use crate::timing::{finalize, KernelStats};
 use crate::trace::WarpTrace;
-use rayon::prelude::*;
 
-/// How the simulator maps SM simulation onto host threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// One rayon task per SM; fastest, algorithm-level races are real.
-    #[default]
-    Parallel,
-    /// Block-id order with one chip-wide L2; bit-stable functional results
-    /// and timing. Blocks run on the launching thread while a second host
-    /// thread replays their timing, in the same order.
-    Deterministic,
+/// The largest thread block a launch accepts (CUDA's per-block limit on
+/// every device the simulator models). Launches assert
+/// `1..=MAX_BLOCK_THREADS`; the protocol and the CLI reject anything else
+/// before it reaches them.
+pub const MAX_BLOCK_THREADS: u32 = 1024;
+
+/// Panics unless `block_threads` is in `1..=MAX_BLOCK_THREADS`.
+pub(crate) fn assert_block_threads(block_threads: u32) {
+    assert!(
+        (1..=MAX_BLOCK_THREADS).contains(&block_threads),
+        "bad block size"
+    );
 }
 
-/// Builds the per-SM L2 slice used in `Parallel` mode.
-fn sliced_l2(dev: &Device) -> Cache {
-    Cache::new(dev.l2_bytes / dev.num_sms, dev.l2_line_bytes, dev.l2_ways)
-}
-
-/// Where a Deterministic launch sends its timing work, in block-id order:
-/// the pipeline's `Feed` in production, a single-thread reference in
-/// tests.
+/// Where a launch sends its timing work, in block-id order: the
+/// pipeline's `Feed` in production, a single-thread reference in tests.
 pub(crate) trait Timing {
     /// One traced warp of a block on SM `sm`.
     fn warp(&mut self, sm: u32, trace: &WarpTrace);
@@ -109,9 +96,9 @@ fn run_block<K: Kernel>(
     run_warps(dev, block_threads, ctx, |ctx| kernel.run(ctx), on_warp);
 }
 
-/// The Deterministic launch of a [`Kernel`]: blocks in id order, timing
-/// to `timing`.
-fn run_deterministic<K: Kernel>(
+/// Runs every block of a [`Kernel`] launch in id order, timing to
+/// `timing`.
+fn run_blocks<K: Kernel>(
     mem: &GpuMem,
     dev: &Device,
     grid: u32,
@@ -132,12 +119,11 @@ fn run_deterministic<K: Kernel>(
 pub fn launch<K: Kernel>(
     mem: &GpuMem,
     dev: &Device,
-    mode: ExecMode,
     grid: u32,
     block_threads: u32,
     kernel: &K,
 ) -> KernelStats {
-    assert!((1..=1024).contains(&block_threads), "bad block size");
+    assert_block_threads(block_threads);
     let occ = occupancy(
         dev,
         grid.max(1),
@@ -145,44 +131,18 @@ pub fn launch<K: Kernel>(
         kernel.regs_per_thread(),
         kernel.smem_per_block(),
     );
-    let n_sms = dev.num_sms;
-    let (sms, l2_stats): (Vec<SmState>, (u64, u64)) = match mode {
-        ExecMode::Parallel => {
-            let per_sm: Vec<(SmState, (u64, u64))> = (0..n_sms)
-                .into_par_iter()
-                .map(|sm_id| {
-                    let mut sm = SmState::new(dev);
-                    let mut l2 = sliced_l2(dev);
-                    let mut ctx = ThreadCtx::new(mem);
-                    let mut bid = sm_id;
-                    while bid < grid {
-                        run_block(dev, kernel, bid, grid, block_threads, &mut ctx, &mut |t| {
-                            sm.account_warp(dev, &mut l2, t)
-                        });
-                        bid += n_sms;
-                    }
-                    (sm, l2.stats())
-                })
-                .collect();
-            let mut stats = (0u64, 0u64);
-            let sms = per_sm
-                .into_iter()
-                .map(|(sm, (h, m))| {
-                    stats.0 += h;
-                    stats.1 += m;
-                    sm
-                })
-                .collect();
-            (sms, stats)
-        }
-        ExecMode::Deterministic => {
-            let ((), r) = pipelined(dev, |feed| {
-                run_deterministic(mem, dev, grid, block_threads, kernel, feed)
-            });
-            (r.sms, r.l2.stats())
-        }
-    };
-    finalize(dev, kernel.name(), grid, block_threads, occ, &sms, l2_stats)
+    let ((), r) = pipelined(dev, |feed| {
+        run_blocks(mem, dev, grid, block_threads, kernel, feed)
+    });
+    finalize(
+        dev,
+        kernel.name(),
+        grid,
+        block_threads,
+        occ,
+        &r.sms,
+        r.l2.stats(),
+    )
 }
 
 /// Per-block result of a coop kernel's count phase.
@@ -191,9 +151,6 @@ struct BlockCount<C> {
     entries: Vec<(C, u32)>,
     total: u32,
 }
-
-/// An SM's blocks, tagged with their block ids (Parallel-mode plumbing).
-type SmBlocks<C> = Vec<(u32, BlockCount<C>)>;
 
 /// Runs the count phase of block `bid` of a coop launch, handing each
 /// warp's trace to `on_warp`. The block's scan is charged by the caller.
@@ -259,20 +216,20 @@ fn emit_block<K: CoopKernel>(
 /// counter; scanning in block-id order makes the output layout
 /// deterministic while the timing charge (one atomic + L2 round trip per
 /// block) is identical.
-fn block_bases<C>(counts: &[Option<BlockCount<C>>]) -> (Vec<u32>, u32) {
+fn block_bases<C>(counts: &[BlockCount<C>]) -> (Vec<u32>, u32) {
     let mut bases = Vec::with_capacity(counts.len());
     let mut total = 0u32;
     for bc in counts {
         bases.push(total);
-        total += bc.as_ref().map_or(0, |b| b.total);
+        total += bc.total;
     }
     (bases, total)
 }
 
-/// The Deterministic launch of a [`CoopKernel`]: count phase, block
-/// bases, emit phase, each in block-id order, timing to `timing`. Returns
-/// the number of emitted items.
-fn run_deterministic_coop<K: CoopKernel>(
+/// Runs a [`CoopKernel`] launch: count phase, block bases, emit phase,
+/// each in block-id order, timing to `timing`. Returns the number of
+/// emitted items.
+fn run_coop_blocks<K: CoopKernel>(
     mem: &GpuMem,
     dev: &Device,
     grid: u32,
@@ -282,14 +239,14 @@ fn run_deterministic_coop<K: CoopKernel>(
 ) -> u32 {
     let n_sms = dev.num_sms;
     let mut ctx = ThreadCtx::new(mem);
-    let mut counts: Vec<Option<BlockCount<K::Carry>>> = Vec::with_capacity(grid as usize);
+    let mut counts: Vec<BlockCount<K::Carry>> = Vec::with_capacity(grid as usize);
     for bid in 0..grid {
         let sm = bid % n_sms;
         let bc = count_block(dev, kernel, bid, grid, block_threads, &mut ctx, &mut |t| {
             timing.warp(sm, t)
         });
         timing.block_scan(sm, block_threads);
-        counts.push(Some(bc));
+        counts.push(bc);
     }
     let (bases, total) = block_bases(&counts);
     timing.base_atomics(grid);
@@ -297,7 +254,6 @@ fn run_deterministic_coop<K: CoopKernel>(
     for (bid, bc) in counts.into_iter().enumerate() {
         let bid = bid as u32;
         let sm = bid % n_sms;
-        let bc = bc.expect("counted");
         let base = bases[bid as usize];
         emit_block(
             dev,
@@ -322,12 +278,11 @@ fn run_deterministic_coop<K: CoopKernel>(
 pub fn launch_coop<K: CoopKernel>(
     mem: &GpuMem,
     dev: &Device,
-    mode: ExecMode,
     grid: u32,
     block_threads: u32,
     kernel: &K,
 ) -> (KernelStats, u32) {
-    assert!((1..=1024).contains(&block_threads), "bad block size");
+    assert_block_threads(block_threads);
     // The block scan needs one shared-memory word per thread.
     let smem = kernel.smem_per_block() + 4 * block_threads;
     let occ = occupancy(
@@ -337,110 +292,17 @@ pub fn launch_coop<K: CoopKernel>(
         kernel.regs_per_thread(),
         smem,
     );
-    let n_sms = dev.num_sms;
-
-    let (sm_states, l2_stats, total) = match mode {
-        ExecMode::Deterministic => {
-            let (total, r) = pipelined(dev, |feed| {
-                run_deterministic_coop(mem, dev, grid, block_threads, kernel, feed)
-            });
-            (r.sms, r.l2.stats(), total)
-        }
-        ExecMode::Parallel => {
-            // --- Phase A: count, per SM, each on its own L2 slice. ------
-            let per_sm: Vec<(SmState, Cache, SmBlocks<K::Carry>)> = (0..n_sms)
-                .into_par_iter()
-                .map(|sm_id| {
-                    let mut sm = SmState::new(dev);
-                    let mut l2 = sliced_l2(dev);
-                    let mut ctx = ThreadCtx::new(mem);
-                    let mut out = Vec::new();
-                    let mut bid = sm_id;
-                    while bid < grid {
-                        let bc = count_block(
-                            dev,
-                            kernel,
-                            bid,
-                            grid,
-                            block_threads,
-                            &mut ctx,
-                            &mut |t| sm.account_warp(dev, &mut l2, t),
-                        );
-                        sm.charge_block_scan(dev, block_threads);
-                        out.push((bid, bc));
-                        bid += n_sms;
-                    }
-                    (sm, l2, out)
-                })
-                .collect();
-            let mut sm_states = Vec::with_capacity(n_sms as usize);
-            let mut l2s = Vec::with_capacity(n_sms as usize);
-            let mut counts: Vec<Option<BlockCount<K::Carry>>> = (0..grid).map(|_| None).collect();
-            for (sm, l2, blocks) in per_sm {
-                sm_states.push(sm);
-                l2s.push(l2);
-                for (bid, bc) in blocks {
-                    counts[bid as usize] = Some(bc);
-                }
-            }
-
-            // --- Block bases. -------------------------------------------
-            let (bases, total) = block_bases(&counts);
-            for bid in 0..grid {
-                sm_states[(bid % n_sms) as usize].charge_block_base_atomic(dev);
-            }
-
-            // --- Phase C: emit, per SM, reattached to its L2 slice. -----
-            let mut per_sm: Vec<(SmState, Cache, SmBlocks<K::Carry>)> = sm_states
-                .into_iter()
-                .zip(l2s)
-                .map(|(s, l2)| (s, l2, Vec::new()))
-                .collect();
-            for bid in (0..grid).rev() {
-                let bc = counts[bid as usize].take().unwrap();
-                per_sm[(bid % n_sms) as usize].2.push((bid, bc));
-            }
-            let done: Vec<(SmState, Cache)> = per_sm
-                .into_par_iter()
-                .map(|(mut sm, mut l2, blocks)| {
-                    let mut ctx = ThreadCtx::new(mem);
-                    // blocks were pushed in reverse; run in ascending order.
-                    for (bid, bc) in blocks.into_iter().rev() {
-                        let base = bases[bid as usize];
-                        emit_block(
-                            dev,
-                            kernel,
-                            bid,
-                            grid,
-                            block_threads,
-                            base,
-                            bc,
-                            &mut ctx,
-                            &mut |t| sm.account_warp(dev, &mut l2, t),
-                        );
-                    }
-                    (sm, l2)
-                })
-                .collect();
-            let mut l2_stats = (0u64, 0u64);
-            let mut sm_states = Vec::with_capacity(done.len());
-            for (sm, l2) in done {
-                let (h, m) = l2.stats();
-                l2_stats.0 += h;
-                l2_stats.1 += m;
-                sm_states.push(sm);
-            }
-            (sm_states, l2_stats, total)
-        }
-    };
+    let (total, r) = pipelined(dev, |feed| {
+        run_coop_blocks(mem, dev, grid, block_threads, kernel, feed)
+    });
     let stats = finalize(
         dev,
         kernel.name(),
         grid,
         block_threads,
         occ,
-        &sm_states,
-        l2_stats,
+        &r.sms,
+        r.l2.stats(),
     );
     (stats, total)
 }
@@ -466,7 +328,10 @@ mod tests {
     use super::*;
     use crate::kernel::KernelCtx;
     use crate::mem::Buffer;
+    use crate::timing::cache::Cache;
     use crate::timing::occupancy::Occupancy;
+    use crate::timing::SmState;
+    use proptest::prelude::*;
 
     /// y[i] = a * x[i] + y[i] — the classic check that indexing and
     /// memory plumbing are right.
@@ -493,29 +358,27 @@ mod tests {
     }
 
     #[test]
-    fn saxpy_computes_correctly_in_both_modes() {
-        for mode in [ExecMode::Deterministic, ExecMode::Parallel] {
-            let dev = Device::tiny();
-            let mut mem = GpuMem::new();
-            let n = 1000;
-            let x: Vec<f32> = (0..n).map(|i| i as f32).collect();
-            let y: Vec<f32> = (0..n).map(|i| (2 * i) as f32).collect();
-            let xb = mem.alloc_from_slice(&x);
-            let yb = mem.alloc_from_slice(&y);
-            let k = Saxpy {
-                a: 3.0,
-                x: xb,
-                y: yb,
-            };
-            let stats = launch(&mem, &dev, mode, grid_for(n, 128), 128, &k);
-            let out = mem.read_vec(yb);
-            for i in 0..n {
-                assert_eq!(out[i], 3.0 * i as f32 + 2.0 * i as f32);
-            }
-            assert!(stats.cycles > 0);
-            assert!(stats.instructions > 0);
-            assert_eq!(stats.name, "saxpy");
+    fn saxpy_computes_correctly() {
+        let dev = Device::tiny();
+        let mut mem = GpuMem::new();
+        let n = 1000;
+        let x: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        let y: Vec<f32> = (0..n).map(|i| (2 * i) as f32).collect();
+        let xb = mem.alloc_from_slice(&x);
+        let yb = mem.alloc_from_slice(&y);
+        let k = Saxpy {
+            a: 3.0,
+            x: xb,
+            y: yb,
+        };
+        let stats = launch(&mem, &dev, grid_for(n, 128), 128, &k);
+        let out = mem.read_vec(yb);
+        for i in 0..n {
+            assert_eq!(out[i], 3.0 * i as f32 + 2.0 * i as f32);
         }
+        assert!(stats.cycles > 0);
+        assert!(stats.instructions > 0);
+        assert_eq!(stats.name, "saxpy");
     }
 
     #[test]
@@ -526,14 +389,7 @@ mod tests {
             let x = mem.alloc_from_slice(&vec![1.0f32; 500]);
             let y = mem.alloc_from_slice(&vec![2.0f32; 500]);
             let k = Saxpy { a: 1.0, x, y };
-            launch(
-                &mem,
-                &dev,
-                ExecMode::Deterministic,
-                grid_for(500, 64),
-                64,
-                &k,
-            )
+            launch(&mem, &dev, grid_for(500, 64), 64, &k)
         };
         let a = run();
         let b = run();
@@ -564,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn atomic_histogram_is_exact_in_parallel_mode() {
+    fn atomic_histogram_is_exact() {
         let dev = Device::tiny();
         let mut mem = GpuMem::new();
         let n = 10_000;
@@ -572,7 +428,7 @@ mod tests {
         let db = mem.alloc_from_slice(&data);
         let hb = mem.alloc::<u32>(7);
         let k = AtomicHist { data: db, hist: hb };
-        let stats = launch(&mem, &dev, ExecMode::Parallel, grid_for(n, 256), 256, &k);
+        let stats = launch(&mem, &dev, grid_for(n, 256), 256, &k);
         let h = mem.read_vec(hb);
         assert_eq!(h.iter().sum::<u32>(), n as u32);
         for (b, &count) in h.iter().enumerate() {
@@ -619,26 +475,24 @@ mod tests {
 
     #[test]
     fn coop_compaction_preserves_order() {
-        for mode in [ExecMode::Deterministic, ExecMode::Parallel] {
-            let dev = Device::tiny();
-            let mut mem = GpuMem::new();
-            let n = 5000;
-            let data: Vec<u32> = (0..n as u32).map(|i| i * 7 % 100).collect();
-            let db = mem.alloc_from_slice(&data);
-            let ob = mem.alloc::<u32>(n);
-            let k = FilterAbove {
-                data: db,
-                out: ob,
-                threshold: 50,
-            };
-            let (stats, total) = launch_coop(&mem, &dev, mode, grid_for(n, 128), 128, &k);
-            let expect: Vec<u32> = (0..n as u32).filter(|&i| data[i as usize] > 50).collect();
-            assert_eq!(total as usize, expect.len());
-            let out = mem.read_vec(ob);
-            assert_eq!(&out[..total as usize], expect.as_slice());
-            // One global atomic per block was charged.
-            assert!(stats.atomics >= grid_for(n, 128) as u64);
-        }
+        let dev = Device::tiny();
+        let mut mem = GpuMem::new();
+        let n = 5000;
+        let data: Vec<u32> = (0..n as u32).map(|i| i * 7 % 100).collect();
+        let db = mem.alloc_from_slice(&data);
+        let ob = mem.alloc::<u32>(n);
+        let k = FilterAbove {
+            data: db,
+            out: ob,
+            threshold: 50,
+        };
+        let (stats, total) = launch_coop(&mem, &dev, grid_for(n, 128), 128, &k);
+        let expect: Vec<u32> = (0..n as u32).filter(|&i| data[i as usize] > 50).collect();
+        assert_eq!(total as usize, expect.len());
+        let out = mem.read_vec(ob);
+        assert_eq!(&out[..total as usize], expect.as_slice());
+        // One global atomic per block was charged.
+        assert!(stats.atomics >= grid_for(n, 128) as u64);
     }
 
     #[test]
@@ -652,7 +506,7 @@ mod tests {
             out: ob,
             threshold: 0,
         };
-        let (stats, total) = launch_coop(&mem, &dev, ExecMode::Deterministic, 0, 128, &k);
+        let (stats, total) = launch_coop(&mem, &dev, 0, 128, &k);
         assert_eq!(total, 0);
         assert!(stats.cycles > 0, "launch overhead still charged");
     }
@@ -664,13 +518,13 @@ mod tests {
         let x = mem.alloc_from_slice(&[1.0f32; 3]);
         let y = mem.alloc_from_slice(&[0.0f32; 3]);
         let k = Saxpy { a: 2.0, x, y };
-        launch(&mem, &dev, ExecMode::Deterministic, 3, 1, &k);
+        launch(&mem, &dev, 3, 1, &k);
         assert_eq!(mem.read_vec(y), vec![2.0, 2.0, 2.0]);
     }
 
     // ------------------------------------------------------------------
-    // Oracle equivalence: the pipelined Deterministic launch against the
-    // single-thread path it replaced (blocks in id order, each warp
+    // Oracle equivalence: the pipelined launch against the single-thread
+    // path it replaced (blocks in id order, each warp
     // charged inline by `account_warp`), kept here as the reference.
     // ------------------------------------------------------------------
 
@@ -727,7 +581,7 @@ mod tests {
         let regs = kernel.regs_per_thread();
         let occ = occupancy(dev, grid.max(1), block, regs, kernel.smem_per_block());
         let mut inline = Inline::new(dev);
-        run_deterministic(mem, dev, grid, block, kernel, &mut inline);
+        run_blocks(mem, dev, grid, block, kernel, &mut inline);
         inline.finish(kernel.name(), grid, block, occ)
     }
 
@@ -741,7 +595,7 @@ mod tests {
         let smem = kernel.smem_per_block() + 4 * block;
         let occ = occupancy(dev, grid.max(1), block, kernel.regs_per_thread(), smem);
         let mut inline = Inline::new(dev);
-        let total = run_deterministic_coop(mem, dev, grid, block, kernel, &mut inline);
+        let total = run_coop_blocks(mem, dev, grid, block, kernel, &mut inline);
         let (stats, sms) = inline.finish(kernel.name(), grid, block, occ);
         (stats, total, sms)
     }
@@ -809,12 +663,10 @@ mod tests {
             (mem, k, output)
         };
         let (mem, k, output) = fresh();
-        let got = launch(&mem, dev, ExecMode::Deterministic, grid, block, &k);
+        let got = launch(&mem, dev, grid, block, &k);
         let got_out = output(&mem);
         let (mem, k, _) = fresh();
-        let ((), replayed) = pipelined(dev, |feed| {
-            run_deterministic(&mem, dev, grid, block, &k, feed)
-        });
+        let ((), replayed) = pipelined(dev, |feed| run_blocks(&mem, dev, grid, block, &k, feed));
         let (mem, k, output) = fresh();
         let (want, want_sms) = reference_launch(&mem, dev, grid, block, &k);
         assert_bit_identical(&got, &want);
@@ -916,6 +768,70 @@ mod tests {
         }
     }
 
+    /// Every traced op kind over random inputs: plain and read-only
+    /// loads (the latter reversed, so imperfectly coalesced), local
+    /// scratch, ALU work, per-thread stores and an atomic reduction.
+    struct MixedSaxpy {
+        x: Buffer<u32>,
+        y: Buffer<u32>,
+        out: Buffer<u32>,
+        total: Buffer<u32>,
+        n: usize,
+    }
+
+    impl Kernel for MixedSaxpy {
+        fn name(&self) -> &'static str {
+            "mixed-saxpy"
+        }
+        fn run(&self, t: &mut impl KernelCtx) {
+            let i = t.global_id() as usize;
+            if i >= self.n {
+                return;
+            }
+            let a = t.ld(self.x, i);
+            let b = t.ldg(self.y, self.n - 1 - i);
+            t.local_reserve(1);
+            t.local_st(0, a.wrapping_mul(3));
+            let c = t.local_ld(0);
+            t.alu(4);
+            let v = c.wrapping_add(b);
+            t.st(self.out, i, v);
+            t.atomic_add(self.total, 0, v % 97);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn pipelined_launch_matches_reference_on_random_inputs(
+            n in 1usize..4000,
+            block_exp in 0u32..4,
+            seed in any::<u64>(),
+        ) {
+            let block = 32u32 << block_exp;
+            check_launch(&Device::k20c(), grid_for(n, block), block, |mem| {
+                // splitmix64 over the seed.
+                let mut state = seed;
+                let mut next = move || {
+                    state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    (z ^ (z >> 31)) as u32
+                };
+                let x: Vec<u32> = (0..n).map(|_| next()).collect();
+                let y: Vec<u32> = (0..n).map(|_| next()).collect();
+                let (x, y) = (mem.alloc_from_slice(&x), mem.alloc_from_slice(&y));
+                let out = mem.alloc::<u32>(n);
+                let total = mem.alloc::<u32>(1);
+                (MixedSaxpy { x, y, out, total, n }, move |m: &GpuMem| {
+                    [m.read_vec(out), m.read_vec(total)].concat()
+                })
+            });
+        }
+    }
+
     #[test]
     fn pipelined_coop_launch_matches_single_thread_reference() {
         for (dev, n, block) in [(Device::tiny(), 5000, 128), (Device::k20c(), 40_000, 256)] {
@@ -936,12 +852,11 @@ mod tests {
                 )
             };
             let (mem, k) = fresh();
-            let (got, got_total) =
-                launch_coop(&mem, &dev, ExecMode::Deterministic, grid, block, &k);
+            let (got, got_total) = launch_coop(&mem, &dev, grid, block, &k);
             let got_out = mem.read_vec(k.out);
             let (mem, k) = fresh();
             let (_, replayed) = pipelined(&dev, |feed| {
-                run_deterministic_coop(&mem, &dev, grid, block, &k, feed)
+                run_coop_blocks(&mem, &dev, grid, block, &k, feed)
             });
             let (mem, k) = fresh();
             let (want, want_total, want_sms) = reference_launch_coop(&mem, &dev, grid, block, &k);

@@ -4,9 +4,9 @@
 //! written in safe Rust execute *functionally* against a shared atomic
 //! memory arena (so the speculative races of the GM coloring scheme are
 //! real), while every memory operation is traced and replayed through an
-//! analytic timing model — warp coalescing, per-SM read-only cache and L2
-//! slice, DRAM bandwidth, atomic serialization, occupancy-based latency
-//! hiding in the spirit of Hong & Kim's MWP/CWP model (ISCA'09).
+//! analytic timing model — warp coalescing, per-SM read-only cache and a
+//! chip-wide L2, DRAM bandwidth, atomic serialization, occupancy-based
+//! latency hiding in the spirit of Hong & Kim's MWP/CWP model (ISCA'09).
 //!
 //! ## Layers
 //!
@@ -15,7 +15,8 @@
 //!   [`KernelCtx`] surface and its tracing impl [`ThreadCtx`]
 //!   (`ld`/`ldg`/`st`/atomics/local memory, Fig. 4 of the paper).
 //! * [`exec`] — [`launch`] / [`launch_coop`]: round-robin block→SM
-//!   scheduling, per-SM deterministic timing, rayon across SMs.
+//!   scheduling in block-id order, bit-stable functional results and
+//!   timing; the timing replay runs on a second host thread.
 //! * [`native`] — [`NativeBackend`]'s executor: the same kernels over
 //!   rayon at host speed, no tracing.
 //! * [`backend`] — the [`Backend`] abstraction selecting between the two.
@@ -33,7 +34,7 @@
 //! ## Example: SAXPY on the simulated K20c
 //!
 //! ```
-//! use gcol_simt::{Device, ExecMode, GpuMem, Kernel, KernelCtx, launch, grid_for};
+//! use gcol_simt::{Device, GpuMem, Kernel, KernelCtx, launch, grid_for};
 //! use gcol_simt::mem::Buffer;
 //!
 //! struct Saxpy { a: f32, x: Buffer<f32>, y: Buffer<f32> }
@@ -54,8 +55,7 @@
 //! let mut mem = GpuMem::new();
 //! let x = mem.alloc_from_slice(&[1.0f32, 2.0, 3.0]);
 //! let y = mem.alloc_from_slice(&[10.0f32, 20.0, 30.0]);
-//! let stats = launch(&mem, &dev, ExecMode::Deterministic,
-//!                    grid_for(3, 128), 128, &Saxpy { a: 2.0, x, y });
+//! let stats = launch(&mem, &dev, grid_for(3, 128), 128, &Saxpy { a: 2.0, x, y });
 //! assert_eq!(mem.read_vec(y), vec![12.0, 24.0, 36.0]);
 //! assert!(stats.time_ms > 0.0);
 //! ```
@@ -80,7 +80,7 @@ pub mod xfer;
 pub use backend::{Backend, BackendKind, CopyStream, NativeBackend, ShardedBackend, SimtBackend};
 pub use config::Device;
 pub use cpu::CpuModel;
-pub use exec::{grid_for, launch, launch_coop, ExecMode};
+pub use exec::{grid_for, launch, launch_coop, MAX_BLOCK_THREADS};
 pub use kernel::{CoopKernel, Kernel, KernelCtx, ThreadCtx};
 pub use mem::{Buffer, GpuMem, Word};
 pub use native::{launch_coop_native, launch_native, NativeCtx};

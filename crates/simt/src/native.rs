@@ -7,9 +7,10 @@
 //! warps of 32 lanes executed in lane order, with `st_warp` stores
 //! deferred until the warp completes — so warp-synchronous kernels keep
 //! their semantics and, on a single worker, results match the
-//! Deterministic simulator exactly. Across blocks the algorithm's own
+//! simulator exactly. Across blocks the algorithm's own
 //! races are real, exactly as on hardware.
 
+use crate::exec::assert_block_threads;
 use crate::kernel::{CoopKernel, Kernel, KernelCtx};
 use crate::mem::{Buffer, GpuMem, Word};
 use rayon::prelude::*;
@@ -171,7 +172,7 @@ fn run_block_native<K: Kernel>(
 
 /// Launches a [`Kernel`] natively: blocks over rayon workers, no timing.
 pub fn launch_native<K: Kernel>(mem: &GpuMem, grid: u32, block_threads: u32, kernel: &K) {
-    assert!((1..=1024).contains(&block_threads), "bad block size");
+    assert_block_threads(block_threads);
     (0..grid).into_par_iter().for_each_init(
         || NativeCtx::new(mem),
         |ctx, bid| run_block_native(kernel, bid, grid, block_threads, ctx),
@@ -195,7 +196,7 @@ pub fn launch_coop_native<K: CoopKernel>(
     block_threads: u32,
     kernel: &K,
 ) -> u32 {
-    assert!((1..=1024).contains(&block_threads), "bad block size");
+    assert_block_threads(block_threads);
 
     let count_block = |ctx: &mut NativeCtx<'_>, bid: u32| -> BlockCount<K::Carry> {
         ctx.bid = bid;
@@ -266,7 +267,7 @@ pub fn launch_coop_native<K: CoopKernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{grid_for, launch, launch_coop, ExecMode};
+    use crate::exec::{grid_for, launch, launch_coop};
     use crate::Device;
 
     struct Saxpy {
@@ -342,14 +343,7 @@ mod tests {
             let mut mem = GpuMem::new();
             let d = mem.alloc::<u32>(256);
             let dev = Device::tiny();
-            launch(
-                &mem,
-                &dev,
-                ExecMode::Deterministic,
-                grid_for(256, 128),
-                128,
-                &WarpShift { data: d },
-            );
+            launch(&mem, &dev, grid_for(256, 128), 128, &WarpShift { data: d });
             mem.read_vec(d)
         };
         assert_eq!(run_native(), run_simt());
@@ -405,7 +399,6 @@ mod tests {
         let (_, total_s) = launch_coop(
             &mem_s,
             &dev,
-            ExecMode::Deterministic,
             grid_for(n, 128),
             128,
             &FilterAbove {

@@ -1,4 +1,4 @@
-//! The Deterministic executor's two-stage replay pipeline.
+//! The executor's two-stage replay pipeline.
 //!
 //! Stage one runs on the launching thread: functional kernel execution
 //! plus the pure [`gather`](crate::timing::gather_warp) of each warp's
@@ -11,10 +11,9 @@
 //!   between them. Batches are filled in block-id/warp order and replayed
 //!   in the order they were sent, so every cache probe and counter update
 //!   happens in the same sequence as the single-threaded replay.
-//! * **Persistence.** The worker is spawned on a thread's first
-//!   Deterministic launch and lives as long as that thread (a
-//!   thread-local owns it; its destructor stops and joins the worker), so
-//!   a launch pays no thread spawn.
+//! * **Persistence.** The worker is spawned on a thread's first launch and
+//!   lives as long as that thread (a thread-local owns it; its destructor
+//!   stops and joins the worker), so a launch pays no thread spawn.
 //! * **Memory bound.** [`POOL`] batches of a fixed budget circulate
 //!   between the two threads: the launching thread fills one, and once it
 //!   is full takes an empty one back from the worker, waiting if there is
@@ -306,8 +305,8 @@ impl Drop for Feed<'_> {
     }
 }
 
-/// Runs `body` as one Deterministic launch on `dev`: what `body` feeds
-/// is replayed on this thread's worker while `body` keeps running.
+/// Runs `body` as one launch on `dev`: what `body` feeds is replayed on
+/// this thread's worker while `body` keeps running.
 /// Returns `body`'s result and the replayed timing state.
 ///
 /// # Panics
@@ -318,7 +317,7 @@ pub(crate) fn pipelined<R>(dev: &Device, body: impl FnOnce(&mut Feed<'_>) -> R) 
     WORKER.with(|cell| {
         let mut slot = cell
             .try_borrow_mut()
-            .expect("a Deterministic launch cannot start inside another");
+            .expect("a launch cannot start inside another");
         let worker = slot.get_or_insert_with(Worker::spawn);
         let fresh = Replayed::new(dev.clone());
         let first = worker.take_empty();

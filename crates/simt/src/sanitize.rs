@@ -851,10 +851,10 @@ mod tests {
     use super::*;
     use crate::backend::{NativeBackend, SimtBackend};
     use crate::config::Device;
-    use crate::exec::{grid_for, ExecMode};
+    use crate::exec::grid_for;
 
     fn sanitized_simt(dev: &Device) -> SanitizeBackend<SimtBackend<'_>> {
-        SanitizeBackend::new(SimtBackend::new(dev, ExecMode::Deterministic))
+        SanitizeBackend::new(SimtBackend::new(dev))
     }
 
     fn launch_on<B: Backend, K: Kernel>(backend: &SanitizeBackend<B>, mem: &GpuMem, n: u32, k: &K) {

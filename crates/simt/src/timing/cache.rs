@@ -1,5 +1,5 @@
 //! Set-associative LRU cache model, used for both the per-SM read-only
-//! data cache and the per-SM L2 slice.
+//! data cache and the chip-wide L2.
 //!
 //! The model is deterministic and content-free: it tracks line *addresses*
 //! only. The paper's `__ldg` optimization (Fig. 4) is reproduced by giving

@@ -3,7 +3,7 @@
 //! Per warp, the i-th memory operations of the 32 lanes are replayed as one
 //! warp-level access: a coalescer groups lane addresses into cache-line
 //! transactions, each transaction probes the read-only cache (`ldg` only)
-//! and the SM's L2 slice, and the warp is charged the worst transaction's
+//! and the chip-wide L2, and the warp is charged the worst transaction's
 //! latency. Per SM, totals feed a simplified Hong–Kim MWP/CWP model: the
 //! SM's busy time is the maximum of its compute-issue time, its exposed
 //! memory latency after overlap across resident warps, and its share of
@@ -23,7 +23,7 @@
 //! (`SmState::charge_access`) sorts and dedups each access, probes the
 //! read-only cache and the L2, and updates the counters.
 //! [`SmState::account_warp`] runs the two back to back; the
-//! Deterministic executor runs them on two host threads with a
+//! executor runs them on two host threads with a
 //! `ReplayBatch` (the `batch` module) in between. All charge scratch (the
 //! ≤32-entry lane address buffer and the per-bank conflict counters)
 //! lives in a `WarpScratch` owned by the `SmState`, so steady-state
@@ -139,11 +139,8 @@ fn byte_addr(word: u32) -> u64 {
 
 /// Per-SM accumulation state: the private read-only cache plus
 /// cycle/traffic counters. The L2 cache is owned by the executor and
-/// passed in per access: in `Deterministic` mode one cache shared by all
-/// SMs models GK110's address-partitioned chip-wide L2 exactly; in
-/// `Parallel` mode each SM task probes a private `l2_bytes / num_sms`
-/// slice (a documented approximation that keeps SM simulation
-/// data-race-free).
+/// passed in per access: one cache shared by all SMs models GK110's
+/// address-partitioned chip-wide L2.
 pub struct SmState {
     ro: Cache,
     scratch: WarpScratch,
@@ -205,9 +202,9 @@ impl SmState {
     /// divergence).
     ///
     /// This is the pure gather (`gather_warp`) feeding the stateful
-    /// charge (`charge_access`) directly. The Deterministic executor runs
-    /// the same two steps on two host threads, with a replay batch
-    /// between them.
+    /// charge (`charge_access`) directly. The executor runs the same two
+    /// steps on two host threads, with a replay batch between them; this
+    /// single-thread form is the reference its tests compare against.
     pub fn account_warp(&mut self, dev: &Device, l2: &mut Cache, warp: &WarpTrace) {
         debug_assert!(warp.lanes() <= dev.warp_size as usize);
         self.begin_warp(WarpHead::of(warp));
@@ -335,7 +332,7 @@ impl SmState {
     }
 
     /// Coalesces the scratch addresses (line-aligned by the gather) into
-    /// L2-line transactions, probes the L2 slice, returns the
+    /// L2-line transactions, probes the L2, returns the
     /// warp-visible latency (worst transaction).
     fn global_access(&mut self, dev: &Device, l2: &mut Cache) -> u64 {
         let line = dev.l2_line_bytes as u64;
@@ -357,8 +354,7 @@ impl SmState {
         worst
     }
 
-    /// `__ldg` path: read-only cache first (128-byte lines), L2 slice on
-    /// miss.
+    /// `__ldg` path: read-only cache first (128-byte lines), L2 on miss.
     fn ldg_access(&mut self, dev: &Device, l2: &mut Cache) -> u64 {
         let line = dev.ro_line_bytes as u64;
         let n = self.dedup_scratch();
@@ -756,7 +752,7 @@ mod tests {
         t
     }
 
-    /// A chip-wide L2 like the Deterministic executor uses.
+    /// A chip-wide L2 like the executor uses.
     fn l2_of(dev: &Device) -> Cache {
         Cache::new(dev.l2_bytes, dev.l2_line_bytes, dev.l2_ways)
     }

@@ -10,7 +10,7 @@
 //! perturb the count.
 
 use gcol_simt::mem::Buffer;
-use gcol_simt::{grid_for, launch, Device, ExecMode, GpuMem, Kernel, KernelCtx};
+use gcol_simt::{grid_for, launch, Device, GpuMem, Kernel, KernelCtx};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -91,14 +91,7 @@ fn steady_state_replay_does_not_allocate() {
     // Warm-up: grows the trace vectors to their steady-state capacity and
     // pays every one-time setup cost.
     for _ in 0..3 {
-        launch(
-            &mem,
-            &dev,
-            ExecMode::Deterministic,
-            grid_for(n, 128),
-            128,
-            &k,
-        );
+        launch(&mem, &dev, grid_for(n, 128), 128, &k);
     }
 
     // A launch still allocates O(1) per call outside the replay itself
@@ -109,19 +102,12 @@ fn steady_state_replay_does_not_allocate() {
     // allocation-free.
     let per_launch_small = {
         let before = ALLOCS.load(Ordering::Relaxed);
-        launch(&mem, &dev, ExecMode::Deterministic, 1, 128, &k);
+        launch(&mem, &dev, 1, 128, &k);
         ALLOCS.load(Ordering::Relaxed) - before
     };
     let per_launch_large = {
         let before = ALLOCS.load(Ordering::Relaxed);
-        launch(
-            &mem,
-            &dev,
-            ExecMode::Deterministic,
-            grid_for(n, 128),
-            128,
-            &k,
-        );
+        launch(&mem, &dev, grid_for(n, 128), 128, &k);
         ALLOCS.load(Ordering::Relaxed) - before
     };
     assert_eq!(

@@ -7,8 +7,7 @@
 
 use gcol_simt::mem::Buffer;
 use gcol_simt::{
-    grid_for, launch, launch_coop, CoopKernel, Device, ExecMode, GpuMem, Kernel, KernelCtx,
-    KernelStats,
+    grid_for, launch, launch_coop, CoopKernel, Device, GpuMem, Kernel, KernelCtx, KernelStats,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -99,14 +98,7 @@ fn gather(panic_block: Option<u32>) -> (KernelStats, Vec<u32>) {
         count: mem.alloc::<u32>(8),
         panic_block,
     };
-    let stats = launch(
-        &mem,
-        &dev,
-        ExecMode::Deterministic,
-        grid_for(N, BLOCK),
-        BLOCK,
-        &k,
-    );
+    let stats = launch(&mem, &dev, grid_for(N, BLOCK), BLOCK, &k);
     (stats, [mem.read_vec(k.out), mem.read_vec(k.count)].concat())
 }
 
@@ -120,7 +112,7 @@ fn filter(panic_block: Option<u32>) -> (KernelStats, u32, Vec<u32>) {
         panic_block,
     };
     let grid = grid_for(N, BLOCK);
-    let (stats, total) = launch_coop(&mem, &dev, ExecMode::Deterministic, grid, BLOCK, &k);
+    let (stats, total) = launch_coop(&mem, &dev, grid, BLOCK, &k);
     (stats, total, mem.read_vec(k.out))
 }
 

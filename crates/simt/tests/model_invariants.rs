@@ -3,7 +3,7 @@
 //! global-load caching, and the timing model's monotonicity laws.
 
 use gcol_simt::mem::Buffer;
-use gcol_simt::{grid_for, launch, Device, ExecMode, GpuMem, Kernel, KernelCtx};
+use gcol_simt::{grid_for, launch, Device, GpuMem, Kernel, KernelCtx};
 
 /// Reads the same array twice per thread through the chosen load path.
 struct DoubleRead {
@@ -40,14 +40,7 @@ fn run_double_read(dev: &Device, n: usize, use_ldg: bool) -> gcol_simt::KernelSt
         sink,
         use_ldg,
     };
-    let stats = launch(
-        &mem,
-        dev,
-        ExecMode::Deterministic,
-        grid_for(n, 128),
-        128,
-        &k,
-    );
+    let stats = launch(&mem, dev, grid_for(n, 128), 128, &k);
     assert_eq!(mem.read_vec(sink), vec![14u32; n]);
     stats
 }
@@ -120,14 +113,7 @@ fn st_warp_is_invisible_within_warp_visible_across_warps() {
     let slots = mem.alloc::<u32>(n);
     let seen = mem.alloc::<u32>(n);
     let k = WarpVisibility { slots, seen };
-    launch(
-        &mem,
-        &dev,
-        ExecMode::Deterministic,
-        grid_for(n, 128),
-        128,
-        &k,
-    );
+    launch(&mem, &dev, grid_for(n, 128), 128, &k);
     let observed = mem.read_vec(seen);
     #[allow(clippy::needless_range_loop)]
     for i in 1..n {
@@ -177,7 +163,6 @@ fn compute_bound_kernel_scales_with_alu_work() {
         launch(
             &mem,
             &dev,
-            ExecMode::Deterministic,
             grid_for(100_000, 128),
             128,
             &Spin { n: 100_000, iters },
@@ -208,43 +193,13 @@ fn occupancy_starved_launch_is_slower_per_element() {
             sink,
             use_ldg: false,
         };
-        launch(
-            &mem,
-            &dev,
-            ExecMode::Deterministic,
-            grid_for(n, block),
-            block,
-            &k,
-        )
-        .cycles
+        launch(&mem, &dev, grid_for(n, block), block, &k).cycles
     };
     let c32 = run_block_size(32);
     let c128 = run_block_size(128);
     assert!(
         c32 > c128,
         "32-thread blocks must be slower ({c32} vs {c128})"
-    );
-}
-
-#[test]
-fn parallel_and_deterministic_modes_agree_functionally_for_race_free_kernels() {
-    let dev = Device::k20c();
-    let n = 10_000;
-    let run_mode = |mode: ExecMode| {
-        let mut mem = GpuMem::new();
-        let data = mem.alloc_from_slice(&(0..n as u32).collect::<Vec<_>>());
-        let sink = mem.alloc::<u32>(n);
-        let k = DoubleRead {
-            data,
-            sink,
-            use_ldg: true,
-        };
-        launch(&mem, &dev, mode, grid_for(n, 256), 256, &k);
-        mem.read_vec(sink)
-    };
-    assert_eq!(
-        run_mode(ExecMode::Parallel),
-        run_mode(ExecMode::Deterministic)
     );
 }
 
@@ -283,14 +238,7 @@ fn bigger_l2_reduces_dram_traffic() {
         let data = mem.alloc_from_slice(&vec![3u32; n]);
         let sink = mem.alloc::<u32>(n);
         let k = StridedReuse { data, sink };
-        let stats = launch(
-            &mem,
-            dev,
-            ExecMode::Deterministic,
-            grid_for(n, 128),
-            128,
-            &k,
-        );
+        let stats = launch(&mem, dev, grid_for(n, 128), 128, &k);
         assert_eq!(mem.read_vec(sink), vec![6u32; n]);
         stats
     };

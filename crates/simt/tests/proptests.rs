@@ -4,7 +4,7 @@
 
 use gcol_simt::mem::Buffer;
 use gcol_simt::timing::cache::Cache;
-use gcol_simt::{grid_for, launch, occupancy, Device, ExecMode, GpuMem, Kernel, KernelCtx};
+use gcol_simt::{grid_for, launch, occupancy, Device, GpuMem, Kernel, KernelCtx};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -115,8 +115,7 @@ proptest! {
         let sink = mem.alloc::<u32>(pattern.len());
         let n = pattern.len();
         let k = PatternLoad { data, pattern: pattern.clone(), sink };
-        let stats = launch(&mem, &dev, ExecMode::Deterministic,
-                           grid_for(n, 32), 32, &k);
+        let stats = launch(&mem, &dev, grid_for(n, 32), 32, &k);
         // Loads + the sink stores, all 32B-sector coalesced. Upper bound:
         // one transaction per lane-op; lower bound: the distinct sectors
         // each warp touches.
@@ -148,7 +147,7 @@ proptest! {
         let sink = mem.alloc::<u32>(32);
         let pattern: Vec<u32> = (start..start + 32).collect();
         let k = PatternLoad { data, pattern, sink };
-        let stats = launch(&mem, &dev, ExecMode::Deterministic, 1, 32, &k);
+        let stats = launch(&mem, &dev, 1, 32, &k);
         // Loads may straddle one extra sector when unaligned.
         prop_assert!(stats.mem_transactions <= 9,
                      "expected ≤ 9 transactions, got {}",

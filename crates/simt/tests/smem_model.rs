@@ -3,7 +3,7 @@
 //! warp-scan idiom it enables.
 
 use gcol_simt::mem::Buffer;
-use gcol_simt::{grid_for, launch, Device, ExecMode, GpuMem, Kernel, KernelCtx};
+use gcol_simt::{grid_for, launch, Device, GpuMem, Kernel, KernelCtx};
 
 /// Every thread stores to a strided smem slot and reads it back; the
 /// stride controls the bank-conflict degree.
@@ -39,14 +39,7 @@ fn run_strided(stride: usize) -> gcol_simt::KernelStats {
     let n = 4096;
     let sink = mem.alloc::<u32>(n);
     let k = StridedSmem { n, stride, sink };
-    let stats = launch(
-        &mem,
-        &dev,
-        ExecMode::Deterministic,
-        grid_for(n, 128),
-        128,
-        &k,
-    );
+    let stats = launch(&mem, &dev, grid_for(n, 128), 128, &k);
     // Functional: every thread read back what it wrote.
     let got = mem.read_vec(sink);
     for (i, &v) in got.iter().enumerate() {
@@ -99,14 +92,7 @@ fn same_word_access_broadcasts_without_conflict() {
     let mut mem = GpuMem::new();
     let n = 4096;
     let sink = mem.alloc::<u32>(n);
-    let bcast = launch(
-        &mem,
-        &dev,
-        ExecMode::Deterministic,
-        grid_for(n, 128),
-        128,
-        &Broadcast { n, sink },
-    );
+    let bcast = launch(&mem, &dev, grid_for(n, 128), 128, &Broadcast { n, sink });
     // Lane 0 wrote before the others read (lower-lane visibility), so all
     // threads observed 77.
     assert!(mem.read_vec(sink).iter().all(|&v| v == 77));
@@ -168,7 +154,6 @@ fn warp_scan_matches_host_scan_per_warp() {
     launch(
         &mem,
         &dev,
-        ExecMode::Deterministic,
         grid_for(n, 128),
         128,
         &WarpScan { data: db, out },
@@ -214,14 +199,7 @@ fn smem_is_zeroed_per_block() {
     let mut mem = GpuMem::new();
     let n = 2048;
     let sink = mem.alloc::<u32>(n);
-    launch(
-        &mem,
-        &dev,
-        ExecMode::Deterministic,
-        grid_for(n, 64),
-        64,
-        &ReadFirst { n, sink },
-    );
+    launch(&mem, &dev, grid_for(n, 64), 64, &ReadFirst { n, sink });
     assert!(
         mem.read_vec(sink).iter().all(|&v| v == 0),
         "smem must start zeroed in every block"

@@ -35,5 +35,5 @@ pub mod prelude {
         verify_coloring, ColorError, ColorOptions, Coloring, ColoringViolation, Scheme,
     };
     pub use gcol_graph::{gen::RmatParams, Csr, CsrBuilder, DegreeStats, VertexId};
-    pub use gcol_simt::{Backend, BackendKind, Device, ExecMode, NativeBackend, SimtBackend};
+    pub use gcol_simt::{Backend, BackendKind, Device, NativeBackend, SimtBackend};
 }

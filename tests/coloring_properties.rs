@@ -8,7 +8,7 @@ use gcol::coloring::{verify_coloring, ColorOptions, Scheme};
 use gcol::graph::builder::from_undirected_edges;
 use gcol::graph::ordering::Ordering;
 use gcol::graph::{Csr, VertexId};
-use gcol::simt::{Device, ExecMode};
+use gcol::simt::Device;
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = Csr> {
@@ -19,20 +19,13 @@ fn arb_graph() -> impl Strategy<Value = Csr> {
     })
 }
 
-fn det_opts() -> ColorOptions {
-    ColorOptions {
-        exec_mode: ExecMode::Deterministic,
-        ..ColorOptions::default()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
     fn all_schemes_proper_on_arbitrary_graphs(g in arb_graph()) {
         let dev = Device::tiny();
-        let opts = det_opts();
+        let opts = ColorOptions::default();
         for scheme in [
             Scheme::Sequential, Scheme::ThreeStepGm, Scheme::TopoBase,
             Scheme::TopoLdg, Scheme::DataBase, Scheme::DataLdg,
@@ -47,7 +40,7 @@ proptest! {
     #[test]
     fn greedy_family_respects_delta_plus_one(g in arb_graph()) {
         let dev = Device::tiny();
-        let opts = det_opts();
+        let opts = ColorOptions::default();
         let bound = g.max_degree() + 1;
         for scheme in [
             Scheme::Sequential, Scheme::ThreeStepGm, Scheme::TopoBase,
@@ -65,7 +58,7 @@ proptest! {
         let g = Csr::empty(extra);
         let dev = Device::tiny();
         for scheme in [Scheme::Sequential, Scheme::TopoBase, Scheme::DataBase] {
-            let r = scheme.color(&g, &dev, &det_opts());
+            let r = scheme.color(&g, &dev, &ColorOptions::default());
             prop_assert!(r.colors.iter().all(|&c| c == 1), "{scheme}");
         }
     }
@@ -89,7 +82,7 @@ proptest! {
     fn gpu_and_cpu_speculative_schemes_agree_within_band(g in arb_graph()) {
         // All SGR variants should land in a tight band of color counts.
         let dev = Device::tiny();
-        let opts = det_opts();
+        let opts = ColorOptions::default();
         let counts: Vec<usize> = [
             Scheme::Sequential, Scheme::TopoBase, Scheme::DataBase,
             Scheme::ThreeStepGm, Scheme::CpuGm,
@@ -104,7 +97,7 @@ proptest! {
     fn seed_changes_csrcolor_but_keeps_it_proper(
         g in arb_graph(), seed in any::<u64>()) {
         let dev = Device::tiny();
-        let opts = ColorOptions { seed, ..det_opts() };
+        let opts = ColorOptions { seed, ..ColorOptions::default() };
         let r = Scheme::CsrColor.color(&g, &dev, &opts);
         prop_assert!(verify_coloring(&g, &r.colors).is_ok());
     }
@@ -119,7 +112,7 @@ proptest! {
         // coloring any scheme produces must use ≥ 3 colors.
         prop_assume!(gcol::graph::traverse::bipartition(&g).is_none());
         let dev = Device::tiny();
-        let opts = det_opts();
+        let opts = ColorOptions::default();
         for scheme in [Scheme::Sequential, Scheme::DataBase, Scheme::CsrColor] {
             let r = scheme.color(&g, &dev, &opts);
             prop_assert!(r.num_colors >= 3,
@@ -144,7 +137,7 @@ proptest! {
         // via the component with the largest internal count.
         let comps = gcol::graph::traverse::connected_components(&g);
         let dev = Device::tiny();
-        let r = Scheme::Sequential.color(&g, &dev, &det_opts());
+        let r = Scheme::Sequential.color(&g, &dev, &ColorOptions::default());
         let mut per_comp = vec![0u32; comps.count];
         for v in 0..g.num_vertices() {
             let c = comps.label[v] as usize;

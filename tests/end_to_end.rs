@@ -5,14 +5,7 @@
 use gcol::coloring::{verify_coloring, ColorOptions, Scheme};
 use gcol::graph::gen::{self, RmatParams, StencilKind};
 use gcol::graph::Csr;
-use gcol::simt::{Device, ExecMode};
-
-fn det_opts() -> ColorOptions {
-    ColorOptions {
-        exec_mode: ExecMode::Deterministic,
-        ..ColorOptions::default()
-    }
-}
+use gcol::simt::Device;
 
 fn all_schemes() -> [Scheme; 9] {
     [
@@ -53,7 +46,7 @@ fn zoo() -> Vec<(&'static str, Csr)> {
 #[test]
 fn every_scheme_properly_colors_the_zoo() {
     let dev = Device::k20c();
-    let opts = det_opts();
+    let opts = ColorOptions::default();
     for (name, g) in zoo() {
         for scheme in all_schemes() {
             let r = scheme.color(&g, &dev, &opts);
@@ -73,7 +66,7 @@ fn every_scheme_properly_colors_the_zoo() {
 #[test]
 fn greedy_schemes_meet_known_chromatic_numbers() {
     let dev = Device::k20c();
-    let opts = det_opts();
+    let opts = ColorOptions::default();
     // (graph, chromatic number, allowed slack for speculative variants)
     let cases: Vec<(&str, Csr, usize, usize)> = vec![
         ("path", gen::path(100), 2, 1),
@@ -107,7 +100,7 @@ fn greedy_schemes_meet_known_chromatic_numbers() {
 #[test]
 fn deterministic_mode_is_bit_stable_across_runs() {
     let dev = Device::k20c();
-    let opts = det_opts();
+    let opts = ColorOptions::default();
     let g = gen::rmat(RmatParams::skewed(11, 12), 99);
     for scheme in [Scheme::TopoLdg, Scheme::DataLdg, Scheme::CsrColor] {
         let a = scheme.color(&g, &dev, &opts);
@@ -115,20 +108,6 @@ fn deterministic_mode_is_bit_stable_across_runs() {
         assert_eq!(a.colors, b.colors, "{scheme} functional determinism");
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.total_ms(), b.total_ms(), "{scheme} timing determinism");
-    }
-}
-
-#[test]
-fn parallel_mode_colorings_remain_proper() {
-    let dev = Device::k20c();
-    let opts = ColorOptions {
-        exec_mode: ExecMode::Parallel,
-        ..ColorOptions::default()
-    };
-    let g = gen::rmat(RmatParams::erdos_renyi(12, 12), 5);
-    for scheme in Scheme::proposed_four() {
-        let r = scheme.color(&g, &dev, &opts);
-        verify_coloring(&g, &r.colors).unwrap_or_else(|e| panic!("{scheme}: {e}"));
     }
 }
 
@@ -142,7 +121,7 @@ fn mtx_loaded_graph_flows_through_the_whole_pipeline() {
         gcol::graph::io::read_matrix_market(std::io::BufReader::new(buf.as_slice())).unwrap();
     assert_eq!(loaded, g);
     let dev = Device::k20c();
-    let r = Scheme::DataLdg.color(&loaded, &dev, &det_opts());
+    let r = Scheme::DataLdg.color(&loaded, &dev, &ColorOptions::default());
     verify_coloring(&loaded, &r.colors).unwrap();
 }
 
@@ -156,7 +135,7 @@ fn block_size_sweep_is_functionally_invariant() {
     for block in [32u32, 64, 128, 256, 512, 1024] {
         let opts = ColorOptions {
             block_size: block,
-            ..det_opts()
+            ..ColorOptions::default()
         };
         let r = Scheme::DataBase.color(&g, &dev, &opts);
         verify_coloring(&g, &r.colors).unwrap();
@@ -175,7 +154,7 @@ fn csrcolor_quality_gap_shows_at_scale() {
     // The motivating observation (Figs. 1b, 6): MIS coloring burns several
     // times more colors than speculative greedy.
     let dev = Device::k20c();
-    let opts = det_opts();
+    let opts = ColorOptions::default();
     let g = gen::rmat(RmatParams::erdos_renyi(13, 16), 21);
     let seq = Scheme::Sequential.color(&g, &dev, &opts);
     let csr = Scheme::CsrColor.color(&g, &dev, &opts);
@@ -198,7 +177,7 @@ fn csrcolor_quality_gap_shows_at_scale() {
 fn threestep_is_slower_and_data_driven_is_faster_than_sequential() {
     // The headline performance shape of Figs. 1a and 7 at reduced scale.
     let dev = Device::k20c();
-    let opts = det_opts();
+    let opts = ColorOptions::default();
     let g = gen::rmat(RmatParams::erdos_renyi(14, 16), 33);
     let seq_ms = Scheme::Sequential.color(&g, &dev, &opts).total_ms();
     let threestep_ms = Scheme::ThreeStepGm.color(&g, &dev, &opts).total_ms();

@@ -5,9 +5,7 @@
 
 use gcol::scan::exclusive_scan;
 use gcol::simt::mem::Buffer;
-use gcol::simt::{
-    grid_for, launch, launch_coop, CoopKernel, Device, ExecMode, GpuMem, Kernel, KernelCtx,
-};
+use gcol::simt::{grid_for, launch, launch_coop, CoopKernel, Device, GpuMem, Kernel, KernelCtx};
 use proptest::prelude::*;
 
 /// out[i] = a*x[i] + b, with a strided access pattern to vary coalescing.
@@ -91,8 +89,7 @@ proptest! {
         let x = mem.alloc_from_slice(&data);
         let out = mem.alloc::<u32>(n);
         let k = Affine { a, b, stride, x, out };
-        let stats = launch(&mem, &dev, ExecMode::Deterministic,
-                           grid_for(n, block), block, &k);
+        let stats = launch(&mem, &dev, grid_for(n, block), block, &k);
         let got = mem.read_vec(out);
         for (j, &xv) in data.iter().enumerate() {
             prop_assert_eq!(got[j], xv.wrapping_mul(a).wrapping_add(b));
@@ -113,8 +110,7 @@ proptest! {
         let x = mem.alloc_from_slice(&data);
         let out = mem.alloc::<u32>(n);
         let k = RisingEdges { x, out };
-        let (_, total) = launch_coop(&mem, &dev, ExecMode::Deterministic,
-                                     grid_for(n, block), block, &k);
+        let (_, total) = launch_coop(&mem, &dev, grid_for(n, block), block, &k);
         let expect: Vec<u32> = (1..n)
             .filter(|&i| data[i] > data[i - 1])
             .map(|i| data[i])
@@ -153,8 +149,7 @@ proptest! {
         let rb = mem.alloc_from_slice(&reqs);
         let out = mem.alloc::<u32>(host_total.max(1) as usize);
         let k = Emitter { reqs: rb, out };
-        let (_, total) = launch_coop(&mem, &dev, ExecMode::Deterministic,
-                                     grid_for(reqs.len(), 128), 128, &k);
+        let (_, total) = launch_coop(&mem, &dev, grid_for(reqs.len(), 128), 128, &k);
         prop_assert_eq!(total, host_total);
         // Every reserved slot was written exactly once.
         let written = mem.read_vec(out);
@@ -174,8 +169,7 @@ proptest! {
             let x = mem.alloc_from_slice(&data);
             let out = mem.alloc::<u32>(n);
             let k = Affine { a: 3, b: 1, stride: 1, x, out };
-            launch(&mem, &dev, ExecMode::Deterministic,
-                   grid_for(n, 128), 128, &k).cycles
+            launch(&mem, &dev, grid_for(n, 128), 128, &k).cycles
         };
         prop_assert!(time_for(n2) >= time_for(n1));
     }

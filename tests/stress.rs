@@ -6,14 +6,7 @@
 use gcol::coloring::{verify_coloring, ColorOptions, Scheme};
 use gcol::graph::builder::from_undirected_edges;
 use gcol::graph::{gen, Csr, VertexId};
-use gcol::simt::{Device, ExecMode};
-
-fn det_opts() -> ColorOptions {
-    ColorOptions {
-        exec_mode: ExecMode::Deterministic,
-        ..ColorOptions::default()
-    }
-}
+use gcol::simt::Device;
 
 /// A graph of disjoint 32-cliques, each exactly filling one warp: every
 /// lane of a warp is adjacent to every other lane — the maximal
@@ -37,7 +30,7 @@ fn conflict_storm_converges_and_stays_delta_plus_one() {
     let g = warp_clique_storm(64);
     let dev = Device::k20c();
     for scheme in [Scheme::TopoBase, Scheme::DataBase, Scheme::DataAtomic] {
-        let r = scheme.color(&g, &dev, &det_opts());
+        let r = scheme.color(&g, &dev, &ColorOptions::default());
         verify_coloring(&g, &r.colors).unwrap_or_else(|e| panic!("{scheme}: {e}"));
         assert_eq!(r.num_colors, 32, "{scheme}: clique needs exactly 32");
         // Lockstep speculation needs one round per clique member in the
@@ -53,7 +46,7 @@ fn single_monster_hub_does_not_break_anything() {
     let g = gen::star(20_000);
     let dev = Device::k20c();
     for scheme in [Scheme::TopoLdg, Scheme::DataLdg, Scheme::CsrColor] {
-        let r = scheme.color(&g, &dev, &det_opts());
+        let r = scheme.color(&g, &dev, &ColorOptions::default());
         verify_coloring(&g, &r.colors).unwrap_or_else(|e| panic!("{scheme}: {e}"));
         assert!(r.total_ms().is_finite() && r.total_ms() > 0.0);
     }
@@ -66,7 +59,7 @@ fn extreme_block_sizes_stay_correct() {
     for block in [1u32, 2, 31, 33, 1024] {
         let opts = ColorOptions {
             block_size: block,
-            ..det_opts()
+            ..ColorOptions::default()
         };
         let r = Scheme::DataBase.color(&g, &dev, &opts);
         verify_coloring(&g, &r.colors).unwrap_or_else(|e| panic!("block {block}: {e}"));
@@ -80,7 +73,7 @@ fn oversized_block_is_rejected() {
     let dev = Device::k20c();
     let opts = ColorOptions {
         block_size: 2048,
-        ..det_opts()
+        ..ColorOptions::default()
     };
     Scheme::TopoBase.color(&g, &dev, &opts);
 }
@@ -94,7 +87,7 @@ fn many_rounds_do_not_corrupt_the_colormask_reuse() {
     let dev = Device::k20c();
     let opts = ColorOptions {
         block_size: 32,
-        ..det_opts()
+        ..ColorOptions::default()
     };
     let r = Scheme::TopoBase.color(&g, &dev, &opts);
     verify_coloring(&g, &r.colors).unwrap();
@@ -122,7 +115,7 @@ fn dense_small_world_with_multiple_components() {
     let g = from_undirected_edges(120, edges); // 90..120 isolated
     let dev = Device::k20c();
     for scheme in [Scheme::Sequential, Scheme::DataLdg, Scheme::CpuRokos] {
-        let r = scheme.color(&g, &dev, &det_opts());
+        let r = scheme.color(&g, &dev, &ColorOptions::default());
         verify_coloring(&g, &r.colors).unwrap_or_else(|e| panic!("{scheme}: {e}"));
         assert!(r.num_colors >= 20, "clique forces ≥ 20");
         // Isolated tail must be color 1.
@@ -136,7 +129,7 @@ fn csrcolor_survives_adversarial_hash_collisions() {
     // ordering resolution purely via tie-breaks.
     let g = gen::complete(64);
     let dev = Device::k20c();
-    let r = Scheme::CsrColor.color(&g, &dev, &det_opts());
+    let r = Scheme::CsrColor.color(&g, &dev, &ColorOptions::default());
     verify_coloring(&g, &r.colors).unwrap();
     assert_eq!(r.num_colors, 64);
 }
@@ -146,6 +139,6 @@ fn threestep_handles_zero_conflict_graphs() {
     // A graph so sparse the GPU rounds leave nothing for the CPU step.
     let g = gen::path(5000);
     let dev = Device::k20c();
-    let r = Scheme::ThreeStepGm.color(&g, &dev, &det_opts());
+    let r = Scheme::ThreeStepGm.color(&g, &dev, &ColorOptions::default());
     verify_coloring(&g, &r.colors).unwrap();
 }
