@@ -14,9 +14,9 @@
 
 use gcol_core::{BackendKind, ColorOptions, Scheme};
 use gcol_graph::io::read_matrix_market;
-use gcol_serve::json::{self, Json};
 use gcol_serve::{serve_lines, Service, ServiceConfig};
 use gcol_simt::Device;
+use serde_json::Value;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -38,13 +38,6 @@ impl Write for SharedBuf {
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
     }
-}
-
-/// Escapes file text for embedding in a JSON string field.
-fn json_escape(text: &str) -> String {
-    text.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 #[test]
@@ -79,55 +72,55 @@ fn one_fixture_colors_identically_through_every_front_end() {
     // Route 3: serve `load` + coloring the session graph.
     let input = format!(
         concat!(
-            r#"{{"id":1,"op":"load","format":"mtx","data":"{data}"}}"#,
+            r#"{{"id":1,"op":"load","format":"mtx","data":{data}}}"#,
             "\n",
             r#"{{"id":2,"op":"color","graph":"session","scheme":"D-base","backend":"native","seed":7,"assignment":true}}"#,
             "\n",
         ),
-        data = json_escape(&text),
+        data = Value::Str(text.clone()),
     );
     let svc = Service::start(ServiceConfig::default());
     let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
     let resolve = |name: &str, _: u32, _: u64| Err(format!("unknown graph {name:?}"));
     serve_lines(svc, input.as_bytes(), buf.clone(), &resolve).unwrap();
     let bytes = buf.0.lock().unwrap().clone();
-    let lines: Vec<Json> = String::from_utf8(bytes)
+    let lines: Vec<Value> = String::from_utf8(bytes)
         .unwrap()
         .lines()
-        .map(|l| json::parse(l).unwrap())
+        .map(|l| serde_json::from_str(l).unwrap())
         .collect();
     let by_id = |id: u64| {
         lines
             .iter()
-            .find(|l| l.get("id").and_then(Json::as_u64) == Some(id))
+            .find(|l| l.get("id").and_then(Value::as_u64) == Some(id))
             .unwrap()
     };
 
     let loaded = by_id(1);
     assert_eq!(
-        loaded.get("ok").and_then(Json::as_bool),
+        loaded.get("ok").and_then(Value::as_bool),
         Some(true),
         "{loaded:?}"
     );
     assert_eq!(
-        loaded.get("graph_fingerprint").and_then(Json::as_str),
+        loaded.get("graph_fingerprint").and_then(Value::as_str),
         Some(format!("{:016x}", direct_graph.content_fingerprint()).as_str()),
         "serve load must ingest to the same content fingerprint"
     );
 
     let colored = by_id(2);
     assert_eq!(
-        colored.get("ok").and_then(Json::as_bool),
+        colored.get("ok").and_then(Value::as_bool),
         Some(true),
         "{colored:?}"
     );
     assert_eq!(
-        colored.get("colors").and_then(Json::as_u64),
+        colored.get("colors").and_then(Value::as_u64),
         Some(direct.num_colors as u64)
     );
     let served: Vec<u32> = colored
         .get("assignment")
-        .and_then(Json::as_arr)
+        .and_then(Value::as_arr)
         .unwrap()
         .iter()
         .map(|c| c.as_u64().unwrap() as u32)

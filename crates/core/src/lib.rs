@@ -36,7 +36,7 @@ use gcol_graph::check::Color;
 use gcol_graph::ordering::Ordering;
 use gcol_graph::Csr;
 use gcol_simt::{CpuModel, Device, NativeBackend, SimtBackend};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 pub use gcol_graph::check::{
     compact_colors, count_colors, count_conflicts, verify_coloring, ColoringViolation,
@@ -236,7 +236,7 @@ impl Coloring {
 
 /// The coloring schemes of the paper's evaluation (§IV) plus the two CPU
 /// context algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Scheme {
     /// Algorithm 1 on one CPU core — the baseline of every speedup.
     Sequential,

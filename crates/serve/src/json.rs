@@ -1,494 +1,7 @@
-//! A minimal, self-contained JSON codec for the wire protocol.
-//!
-//! The workspace's `serde_json` is reserved for *writing* experiment
-//! reports; the service protocol needs to *parse* requests from external
-//! load generators, and pulling a full parser dependency for a
-//! line-delimited protocol with six message fields is not worth it in a
-//! deliberately dependency-light tree. This is a strict, small (≈200
-//! line) recursive-descent parser plus a writer, covering exactly the
-//! JSON subset the protocol uses: objects, arrays, strings (with `\uXXXX`
-//! escapes), finite numbers, booleans and null.
-//!
-//! Numbers are kept as `f64`, which is exact for every integer below
-//! [`EXACT_INT_LIMIT`] (2^53): ids, vertex counts and seeds below it may
-//! come as numbers; larger seeds must be sent as strings —
-//! [`crate::proto`] accepts both and rejects a number at or above the
-//! limit, which may already have been rounded to a neighbour.
+//! The wire's JSON types under the names this crate first exported them
+//! by. The workspace has one JSON codec: the serde shim's `Value` tree
+//! with its renderer, and `serde_json`'s strict parser (see
+//! [`crate::proto`] for the protocol's rules on top of it). In-workspace
+//! code uses those crates directly.
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// 2^53: from here up, distinct integers parse to the same `f64`.
-pub const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (always finite).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object. `BTreeMap` keeps rendering deterministic.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Object field lookup (`None` on non-objects and missing keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a finite `f64`, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The value as a `u64`: a non-negative integral number below
-    /// [`EXACT_INT_LIMIT`], or a string of decimal digits (the escape
-    /// hatch for 64-bit seeds).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < EXACT_INT_LIMIT => {
-                Some(*x as u64)
-            }
-            Json::Str(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a `bool`, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Builds a `Json::Obj` from key/value pairs.
-pub fn obj<const N: usize>(pairs: [(&str, Json); N]) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(x) => {
-                if !x.is_finite() {
-                    // JSON has no NaN/Infinity literal; `null` keeps the
-                    // document parseable (percentiles of an empty window).
-                    f.write_str("null")
-                } else if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
-                    write!(f, "{}", *x as i64)
-                } else {
-                    write!(f, "{x}")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(v) => {
-                f.write_str("[")?;
-                for (i, x) in v.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{x}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(m) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in m.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
-    }
-}
-
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_str(c.encode_utf8(&mut [0; 4]))?,
-        }
-    }
-    f.write_str("\"")
-}
-
-/// Parses one JSON document, rejecting trailing garbage.
-pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
-    Ok(v)
-}
-
-/// A parse error with byte offset context.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// What went wrong.
-    pub msg: String,
-    /// Byte offset in the input line.
-    pub at: usize,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.msg, self.at)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-const MAX_DEPTH: usize = 64;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> JsonError {
-        JsonError {
-            msg: msg.to_string(),
-            at: self.pos,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut out = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value(depth + 1)?;
-            out.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pair?
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let c = self.peek().ok_or_else(|| self.err("short \\u escape"))?;
-            let d = (c as char)
-                .to_digit(16)
-                .ok_or_else(|| self.err("bad hex digit"))?;
-            v = v << 4 | d;
-            self.pos += 1;
-        }
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        let x: f64 = text.parse().map_err(|_| self.err("malformed number"))?;
-        if !x.is_finite() {
-            return Err(self.err("number out of range"));
-        }
-        Ok(Json::Num(x))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrips_scalars_and_containers() {
-        for text in [
-            "null",
-            "true",
-            "false",
-            "0",
-            "-17",
-            "3.5",
-            "\"hi \\\"there\\\"\"",
-            "[1,2,[3]]",
-            "{\"a\":1,\"b\":[true,null],\"c\":{\"d\":\"x\"}}",
-        ] {
-            let v = parse(text).unwrap();
-            assert_eq!(parse(&v.to_string()).unwrap(), v, "{text}");
-        }
-    }
-
-    #[test]
-    fn non_finite_numbers_render_as_null() {
-        // JSON has no NaN/Infinity literal; a stats snapshot taken before
-        // any job completes carries NaN percentiles and must still
-        // serialize to a parseable document.
-        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let line =
-                Json::Obj(BTreeMap::from([("p50_ms".to_string(), Json::Num(x))])).to_string();
-            assert_eq!(line, "{\"p50_ms\":null}");
-            assert!(parse(&line).is_ok());
-        }
-    }
-
-    #[test]
-    fn parses_whitespace_and_escapes() {
-        let v = parse(" { \"k\" : [ 1 , \"\\u0041\\n\" ] } ").unwrap();
-        assert_eq!(
-            v.get("k").unwrap().as_arr().unwrap()[1].as_str(),
-            Some("A\n")
-        );
-        // Astral-plane surrogate pair.
-        assert_eq!(parse("\"\\ud83d\\ude00\"").unwrap().as_str(), Some("😀"));
-    }
-
-    #[test]
-    fn u64_via_number_and_string() {
-        assert_eq!(parse("42").unwrap().as_u64(), Some(42));
-        assert_eq!(
-            parse("\"18446744073709551615\"").unwrap().as_u64(),
-            Some(u64::MAX)
-        );
-        assert_eq!(parse("-1").unwrap().as_u64(), None);
-        assert_eq!(parse("1.5").unwrap().as_u64(), None);
-        // 2^53 - 1 is the largest exact number; 2^53 + 1 parses to 2^53.
-        assert_eq!(
-            parse("9007199254740991").unwrap().as_u64(),
-            Some(9_007_199_254_740_991)
-        );
-        assert_eq!(parse("9007199254740993").unwrap().as_u64(), None);
-        assert_eq!(parse("9007199254740992").unwrap().as_u64(), None);
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for text in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\"}",
-            "{\"a\":}",
-            "nul",
-            "01abc",
-            "\"unterminated",
-            "[1] trailing",
-            "\u{1}",
-            "1e999",
-        ] {
-            assert!(parse(text).is_err(), "{text:?} should fail");
-        }
-    }
-
-    #[test]
-    fn integers_render_without_exponent() {
-        assert_eq!(Json::Num(1e15).to_string(), "1000000000000000");
-        assert_eq!(Json::Num(0.25).to_string(), "0.25");
-    }
-}
+pub use serde_json::{from_str as parse, Value as Json};

@@ -21,8 +21,11 @@
 //!   latency percentiles).
 //! * [`server::serve_lines`] + [`proto`] — a line-delimited JSON
 //!   protocol over any `BufRead`/`Write` (stdio or a socket; the
-//!   `gcol-bench serve` command wires both), with its own small strict
-//!   [`json`] codec so external load generators need nothing special.
+//!   `gcol-bench serve` command wires both), plain enough that external
+//!   load generators need nothing special. It uses the workspace's one
+//!   JSON codec (`serde_json`'s strict parser, the serde shim's `Value`
+//!   tree and renderer); [`json`] re-exports those under the names
+//!   this crate first exported them by.
 //!
 //! The execution substrate is untouched: workers call
 //! [`gcol_core::Scheme::try_color`], so every backend (simt timing

@@ -27,9 +27,15 @@
 //! (including `"exchange":"dense"|"delta"` for the sharded ghost wire
 //! format — part of the cache fingerprint). A field that is present
 //! with the wrong type is a parse error naming the field, never read as
-//! absent. Integer fields take a JSON number below 2^53 or a string of
-//! decimal digits; a number at or above 2^53 is rejected (it may already
-//! have been rounded), so a full 64-bit seed is sent as a string.
+//! absent. Integer fields take a JSON number whose value is an integer
+//! below 2^53, however it is spelled (`7`, `7.0`, `7e0`; `-0` is 0), or
+//! a string of decimal digits; a number at or above 2^53 is rejected
+//! (it may already have been rounded), so a full 64-bit seed is sent as
+//! a string. A key repeated within one object resolves to its last
+//! value. Request lines are parsed by `serde_json`'s strict parser:
+//! nesting deeper than 64, raw control characters in strings, invalid
+//! `\u` escapes and numbers beyond `f64` (`1e999`) are `bad-request`s
+//! naming the byte offset.
 //! `"mode"` accepts only `"deterministic"` (or `"det"`): the simulator
 //! has one execution model. Graphs come inline (`r`/`c`,
 //! the CSR arrays of the paper's Fig. 2) or by generator name —
@@ -83,8 +89,12 @@
 //!
 //! `"assignment":true` adds the dense per-vertex color array to the
 //! response (off by default: it is `n` integers).
+//!
+//! Response objects list their keys in sorted order. A number whose
+//! value is an integer below 2^53 prints as an integer (`"queue_ms":0`),
+//! any other as the shortest decimal that round-trips, and NaN or an
+//! infinity (the percentiles of an idle service) as `null`.
 
-use crate::json::{self, obj, Json, EXACT_INT_LIMIT};
 use crate::service::{JobResponse, Rejection, ServeError, ServiceStats};
 use gcol_core::{
     BackendKind, ColorOptions, Coloring, ExchangeKind, Fingerprint, JobSpec, Scheme, SchemeChoice,
@@ -94,6 +104,10 @@ use gcol_graph::io::GraphFormat;
 use gcol_graph::Csr;
 use gcol_plan::{Plan, Slo};
 use gcol_simt::MAX_BLOCK_THREADS;
+use serde_json::Value;
+
+/// 2^53: from here up, distinct integers parse to the same `f64`.
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
 
 /// A parsed request line.
 #[derive(Debug, Clone)]
@@ -188,7 +202,7 @@ impl Request {
 
     /// Parses one request line.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let v = json::parse(line).map_err(|e| format!("malformed JSON: {e}"))?;
+        let v = serde_json::from_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
         let id = u64_field(&v, "id")?;
         match str_field(&v, "op")?.unwrap_or("color") {
             "stats" => Ok(Request::Stats { id }),
@@ -267,7 +281,7 @@ impl SpecRequest {
 
 /// Field `name` of `v` as a string: `None` when absent, an error naming
 /// the field when it is present with another type.
-fn str_field<'a>(v: &'a Json, name: &str) -> Result<Option<&'a str>, String> {
+fn str_field<'a>(v: &'a Value, name: &str) -> Result<Option<&'a str>, String> {
     v.get(name)
         .map(|x| {
             x.as_str()
@@ -277,7 +291,7 @@ fn str_field<'a>(v: &'a Json, name: &str) -> Result<Option<&'a str>, String> {
 }
 
 /// Field `name` of `v` as a bool, under [`str_field`]'s rules.
-fn bool_field(v: &Json, name: &str) -> Result<Option<bool>, String> {
+fn bool_field(v: &Value, name: &str) -> Result<Option<bool>, String> {
     v.get(name)
         .map(|x| {
             x.as_bool()
@@ -287,24 +301,37 @@ fn bool_field(v: &Json, name: &str) -> Result<Option<bool>, String> {
 }
 
 /// Field `name` of `v` as an unsigned integer, under [`str_field`]'s
-/// rules: a JSON number below 2^53 or a string of decimal digits.
-fn u64_field(v: &Json, name: &str) -> Result<Option<u64>, String> {
+/// rules and [`as_u64`]'s; a number at or above 2^53 gets its own error.
+fn u64_field(v: &Value, name: &str) -> Result<Option<u64>, String> {
     let Some(x) = v.get(name) else {
         return Ok(None);
     };
-    if matches!(x, Json::Num(n) if *n >= EXACT_INT_LIMIT) {
+    if x.as_f64().is_some_and(|n| n >= EXACT_INT_LIMIT) {
         return Err(format!(
             "\"{name}\" is too large for an exact JSON number (2^53 or more): \
              send it as a string of decimal digits"
         ));
     }
-    x.as_u64()
+    as_u64(x)
         .map(Some)
         .ok_or_else(|| format!("\"{name}\" must be an unsigned integer"))
 }
 
+/// The protocol's integer rule: a number whose value is a non-negative
+/// integer below 2^53, however it is spelled (`7`, `7.0`, `7e0`, `-0`),
+/// or a string of decimal digits (the form that carries every `u64`).
+fn as_u64(x: &Value) -> Option<u64> {
+    match x {
+        Value::Str(s) => s.parse().ok(),
+        _ => x
+            .as_f64()
+            .filter(|n| *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_INT_LIMIT)
+            .map(|n| n as u64),
+    }
+}
+
 /// Parses the scheme + option fields shared by `color` and `recolor`.
-fn parse_spec(v: &Json) -> Result<SpecRequest, String> {
+fn parse_spec(v: &Value) -> Result<SpecRequest, String> {
     let choice = match str_field(v, "scheme")? {
         None => SchemeChoice::Fixed(Scheme::TopoBase),
         Some(name) => name
@@ -360,7 +387,7 @@ fn parse_spec(v: &Json) -> Result<SpecRequest, String> {
 }
 
 /// Parses the `"edits"` array: ordered `["+"|"-", u, v]` triples.
-fn parse_edits(v: &Json) -> Result<Vec<EdgeEdit>, String> {
+fn parse_edits(v: &Value) -> Result<Vec<EdgeEdit>, String> {
     let Some(arr) = v.get("edits") else {
         return Ok(Vec::new());
     };
@@ -371,8 +398,8 @@ fn parse_edits(v: &Json) -> Result<Vec<EdgeEdit>, String> {
                 .as_arr()
                 .filter(|t| t.len() == 3)
                 .ok_or("each edit must be a [\"+\"|\"-\", u, v] triple")?;
-            let endpoint = |x: &Json| {
-                x.as_u64()
+            let endpoint = |x: &Value| {
+                as_u64(x)
                     .filter(|&x| x <= u32::MAX as u64)
                     .map(|x| x as u32)
                     .ok_or_else(|| "edit endpoints must be u32".to_string())
@@ -390,17 +417,17 @@ fn parse_edits(v: &Json) -> Result<Vec<EdgeEdit>, String> {
         .collect()
 }
 
-fn parse_graph(v: &Json) -> Result<GraphSpec, String> {
+fn parse_graph(v: &Value) -> Result<GraphSpec, String> {
     if v.as_str() == Some("session") {
         return Ok(GraphSpec::Session);
     }
     if let (Some(r), Some(c)) = (v.get("r"), v.get("c")) {
-        let to_u32s = |a: &Json, what: &str| -> Result<Vec<u32>, String> {
+        let to_u32s = |a: &Value, what: &str| -> Result<Vec<u32>, String> {
             a.as_arr()
                 .ok_or_else(|| format!("\"{what}\" must be an array"))?
                 .iter()
                 .map(|x| {
-                    x.as_u64()
+                    as_u64(x)
                         .filter(|&x| x <= u32::MAX as u64)
                         .map(|x| x as u32)
                         .ok_or_else(|| format!("\"{what}\" entries must be u32"))
@@ -425,19 +452,67 @@ fn parse_graph(v: &Json) -> Result<GraphSpec, String> {
     Err("\"graph\" needs inline {\"r\":…,\"c\":…}, {\"gen\":…} or \"session\"".into())
 }
 
+/// A response object with its keys in sorted order, the wire's one key
+/// order whatever order the pairs were listed in.
+fn obj(mut pairs: Vec<(&str, Value)>) -> Value {
+    pairs.sort_unstable_by_key(|&(k, _)| k);
+    let pairs: Vec<_> = pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+    Value::Obj(pairs.into())
+}
+
+/// Renders a response line: `pairs` plus the request's `id`, if it had one.
+fn response(id: Option<u64>, mut pairs: Vec<(&str, Value)>) -> String {
+    if let Some(id) = id {
+        pairs.push(("id", Value::U64(id)));
+    }
+    obj(pairs).to_string()
+}
+
+/// A measured quantity on the wire: integral values below 2^53 print
+/// as integers (`"queue_ms":0`), others as the shortest decimal that
+/// round-trips, NaN and infinities as `null`.
+fn num(x: f64) -> Value {
+    if x.fract() != 0.0 || x.abs() >= EXACT_INT_LIMIT {
+        Value::F64(x)
+    } else if x < 0.0 {
+        Value::I64(x as i64)
+    } else {
+        Value::U64(x as u64)
+    }
+}
+
+fn count(n: usize) -> Value {
+    Value::U64(n as u64)
+}
+
+fn text(s: &str) -> Value {
+    Value::Str(s.to_string())
+}
+
+/// The dense per-vertex color array of an `"assignment":true` response.
+fn assignment_json(coloring: &Coloring) -> Value {
+    Value::Arr(
+        coloring
+            .colors
+            .iter()
+            .map(|&c| Value::U64(c.into()))
+            .collect(),
+    )
+}
+
 /// Renders the `"plan"` object echoed in responses to `"scheme":"auto"`
 /// requests: the concrete plan the planner resolved to, plus its model
 /// predictions — the client-visible proof of what actually ran (and the
 /// exact fields to resend for a byte-identical explicit request).
-pub fn plan_json(slo: Slo, plan: &Plan) -> Json {
-    obj([
-        ("slo", Json::Str(slo.name().into())),
-        ("scheme", Json::Str(plan.scheme.name().into())),
-        ("backend", Json::Str(plan.backend.name().into())),
-        ("shards", Json::Num(plan.num_shards as f64)),
-        ("exchange", Json::Str(plan.exchange.name().into())),
-        ("predicted_ms", Json::Num(plan.predicted_ms)),
-        ("predicted_colors", Json::Num(plan.predicted_colors)),
+pub fn plan_json(slo: Slo, plan: &Plan) -> Value {
+    obj(vec![
+        ("slo", text(slo.name())),
+        ("scheme", text(plan.scheme.name())),
+        ("backend", text(plan.backend.name())),
+        ("shards", count(plan.num_shards)),
+        ("exchange", text(plan.exchange.name())),
+        ("predicted_ms", num(plan.predicted_ms)),
+        ("predicted_colors", num(plan.predicted_colors)),
     ])
 }
 
@@ -450,55 +525,44 @@ pub fn ok_response(
     plan: Option<(Slo, &Plan)>,
 ) -> String {
     let coloring: &Coloring = &r.coloring;
-    let mut o = obj([
-        ("ok", Json::Bool(true)),
-        ("source", Json::Str(r.source.name().into())),
-        ("fingerprint", Json::Str(r.fingerprint.to_string())),
-        ("scheme", Json::Str(coloring.scheme.name().into())),
-        ("colors", Json::Num(coloring.num_colors as f64)),
-        ("iterations", Json::Num(coloring.iterations as f64)),
-        ("modeled_ms", Json::Num(coloring.total_ms())),
-        ("queue_ms", Json::Num(r.queue_ms)),
-        ("exec_ms", Json::Num(r.exec_ms)),
-        ("total_ms", Json::Num(r.total_ms)),
-    ]);
-    with_id(&mut o, id);
-    if let (Json::Obj(m), Some((slo, plan))) = (&mut o, plan) {
-        m.insert("plan".into(), plan_json(slo, plan));
+    let mut pairs = vec![
+        ("ok", Value::Bool(true)),
+        ("source", text(r.source.name())),
+        ("fingerprint", Value::Str(r.fingerprint.to_string())),
+        ("scheme", text(coloring.scheme.name())),
+        ("colors", count(coloring.num_colors)),
+        ("iterations", count(coloring.iterations)),
+        ("modeled_ms", num(coloring.total_ms())),
+        ("queue_ms", num(r.queue_ms)),
+        ("exec_ms", num(r.exec_ms)),
+        ("total_ms", num(r.total_ms)),
+    ];
+    if let Some((slo, plan)) = plan {
+        pairs.push(("plan", plan_json(slo, plan)));
     }
     if assignment {
-        if let Json::Obj(m) = &mut o {
-            m.insert(
-                "assignment".into(),
-                Json::Arr(
-                    coloring
-                        .colors
-                        .iter()
-                        .map(|&c| Json::Num(c as f64))
-                        .collect(),
-                ),
-            );
-        }
+        pairs.push(("assignment", assignment_json(coloring)));
     }
-    o.to_string()
+    response(id, pairs)
 }
 
 /// Renders the response to a `mutate`: how many vertices the batch
 /// touched and the post-edit graph identity (content fingerprint + size)
 /// — the client-visible proof that cache keys rolled over.
 pub fn mutate_response(id: Option<u64>, touched: usize, g: &Csr) -> String {
-    let mut o = obj([
-        ("ok", Json::Bool(true)),
-        ("touched", Json::Num(touched as f64)),
-        (
-            "graph_fingerprint",
-            Json::Str(format!("{:016x}", g.content_fingerprint())),
-        ),
-        ("vertices", Json::Num(g.num_vertices() as f64)),
-        ("edges", Json::Num(g.num_edges() as f64)),
-    ]);
-    with_id(&mut o, id);
-    o.to_string()
+    response(
+        id,
+        vec![
+            ("ok", Value::Bool(true)),
+            ("touched", count(touched)),
+            (
+                "graph_fingerprint",
+                Value::Str(format!("{:016x}", g.content_fingerprint())),
+            ),
+            ("vertices", count(g.num_vertices())),
+            ("edges", count(g.num_edges())),
+        ],
+    )
 }
 
 /// Renders the response to a `recolor`. `source` is `"delta"` (dirty-set
@@ -513,32 +577,20 @@ pub fn recolor_response(
     coloring: &Coloring,
     assignment: bool,
 ) -> String {
-    let mut o = obj([
-        ("ok", Json::Bool(true)),
-        ("source", Json::Str(source.into())),
-        ("repaired", Json::Num(repaired as f64)),
-        ("fingerprint", Json::Str(fingerprint.to_string())),
-        ("scheme", Json::Str(coloring.scheme.name().into())),
-        ("colors", Json::Num(coloring.num_colors as f64)),
-        ("iterations", Json::Num(coloring.iterations as f64)),
-        ("modeled_ms", Json::Num(coloring.total_ms())),
-    ]);
-    with_id(&mut o, id);
+    let mut pairs = vec![
+        ("ok", Value::Bool(true)),
+        ("source", text(source)),
+        ("repaired", count(repaired)),
+        ("fingerprint", Value::Str(fingerprint.to_string())),
+        ("scheme", text(coloring.scheme.name())),
+        ("colors", count(coloring.num_colors)),
+        ("iterations", count(coloring.iterations)),
+        ("modeled_ms", num(coloring.total_ms())),
+    ];
     if assignment {
-        if let Json::Obj(m) = &mut o {
-            m.insert(
-                "assignment".into(),
-                Json::Arr(
-                    coloring
-                        .colors
-                        .iter()
-                        .map(|&c| Json::Num(c as f64))
-                        .collect(),
-                ),
-            );
-        }
+        pairs.push(("assignment", assignment_json(coloring)));
     }
-    o.to_string()
+    response(id, pairs)
 }
 
 /// Renders the final response to a `load`: the resolved format and the
@@ -546,52 +598,53 @@ pub fn recolor_response(
 /// identity `mutate` reports, and the key under which `color` on the
 /// session graph caches.
 pub fn load_response(id: Option<u64>, format: GraphFormat, g: &Csr) -> String {
-    let mut o = obj([
-        ("ok", Json::Bool(true)),
-        ("status", Json::Str("loaded".into())),
-        ("format", Json::Str(format.name().into())),
-        (
-            "graph_fingerprint",
-            Json::Str(format!("{:016x}", g.content_fingerprint())),
-        ),
-        ("vertices", Json::Num(g.num_vertices() as f64)),
-        ("edges", Json::Num(g.num_edges() as f64)),
-    ]);
-    with_id(&mut o, id);
-    o.to_string()
+    response(
+        id,
+        vec![
+            ("ok", Value::Bool(true)),
+            ("status", text("loaded")),
+            ("format", text(format.name())),
+            (
+                "graph_fingerprint",
+                Value::Str(format!("{:016x}", g.content_fingerprint())),
+            ),
+            ("vertices", count(g.num_vertices())),
+            ("edges", count(g.num_edges())),
+        ],
+    )
 }
 
 /// Renders the ack for a non-final upload chunk: bytes buffered so far.
 pub fn loading_response(id: Option<u64>, bytes: usize) -> String {
-    let mut o = obj([
-        ("ok", Json::Bool(true)),
-        ("status", Json::Str("loading".into())),
-        ("bytes", Json::Num(bytes as f64)),
-    ]);
-    with_id(&mut o, id);
-    o.to_string()
+    response(
+        id,
+        vec![
+            ("ok", Value::Bool(true)),
+            ("status", text("loading")),
+            ("bytes", count(bytes)),
+        ],
+    )
 }
 
 /// Renders a positive acknowledgement (control ops with no payload).
 pub fn ack_response(id: Option<u64>, status: &str) -> String {
-    let mut o = obj([
-        ("ok", Json::Bool(true)),
-        ("status", Json::Str(status.into())),
-    ]);
-    with_id(&mut o, id);
-    o.to_string()
+    response(
+        id,
+        vec![("ok", Value::Bool(true)), ("status", text(status))],
+    )
 }
 
 /// Renders an error response. `error` is a stable machine-readable code,
 /// `detail` the human text.
 pub fn error_response(id: Option<u64>, error: &str, detail: &str) -> String {
-    let mut o = obj([
-        ("ok", Json::Bool(false)),
-        ("error", Json::Str(error.into())),
-        ("detail", Json::Str(detail.into())),
-    ]);
-    with_id(&mut o, id);
-    o.to_string()
+    response(
+        id,
+        vec![
+            ("ok", Value::Bool(false)),
+            ("error", text(error)),
+            ("detail", text(detail)),
+        ],
+    )
 }
 
 /// The stable error code for an admission rejection.
@@ -614,36 +667,29 @@ pub fn serve_error_code(e: &ServeError) -> &'static str {
 
 /// Renders the stats snapshot response.
 pub fn stats_response(id: Option<u64>, s: &ServiceStats) -> String {
-    let mut o = obj([
-        ("ok", Json::Bool(true)),
-        ("submitted", Json::Num(s.submitted as f64)),
-        ("accepted", Json::Num(s.accepted as f64)),
-        ("executions", Json::Num(s.executions as f64)),
-        ("cache_hits", Json::Num(s.cache_hits as f64)),
-        ("coalesced", Json::Num(s.coalesced as f64)),
-        ("auto_planned", Json::Num(s.auto_planned as f64)),
-        (
-            "rejected_queue_full",
-            Json::Num(s.rejected_queue_full as f64),
-        ),
-        ("rejected_too_large", Json::Num(s.rejected_too_large as f64)),
-        ("rejected_shutdown", Json::Num(s.rejected_shutdown as f64)),
-        ("deadline_exceeded", Json::Num(s.deadline_exceeded as f64)),
-        ("cache_entries", Json::Num(s.cache_entries as f64)),
-        ("cache_evictions", Json::Num(s.cache_evictions as f64)),
-        ("queued", Json::Num(s.queued as f64)),
-        ("p50_ms", Json::Num(s.p50_ms)),
-        ("p95_ms", Json::Num(s.p95_ms)),
-        ("p99_ms", Json::Num(s.p99_ms)),
-    ]);
-    with_id(&mut o, id);
-    o.to_string()
-}
-
-fn with_id(o: &mut Json, id: Option<u64>) {
-    if let (Json::Obj(m), Some(id)) = (o, id) {
-        m.insert("id".into(), Json::Num(id as f64));
-    }
+    let n = |x: u64| Value::U64(x);
+    response(
+        id,
+        vec![
+            ("ok", Value::Bool(true)),
+            ("submitted", n(s.submitted)),
+            ("accepted", n(s.accepted)),
+            ("executions", n(s.executions)),
+            ("cache_hits", n(s.cache_hits)),
+            ("coalesced", n(s.coalesced)),
+            ("auto_planned", n(s.auto_planned)),
+            ("rejected_queue_full", n(s.rejected_queue_full)),
+            ("rejected_too_large", n(s.rejected_too_large)),
+            ("rejected_shutdown", n(s.rejected_shutdown)),
+            ("deadline_exceeded", n(s.deadline_exceeded)),
+            ("cache_entries", count(s.cache_entries)),
+            ("cache_evictions", n(s.cache_evictions)),
+            ("queued", count(s.queued)),
+            ("p50_ms", num(s.p50_ms)),
+            ("p95_ms", num(s.p95_ms)),
+            ("p99_ms", num(s.p99_ms)),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -762,11 +808,11 @@ mod tests {
             predicted_colors: 9.3,
         };
         let v = plan_json(Slo::FastestWall, &plan);
-        assert_eq!(v.get("slo").and_then(Json::as_str), Some("fastest-wall"));
-        assert_eq!(v.get("scheme").and_then(Json::as_str), Some("csrcolor"));
-        assert_eq!(v.get("backend").and_then(Json::as_str), Some("simt"));
-        assert_eq!(v.get("shards").and_then(Json::as_u64), Some(2));
-        assert_eq!(v.get("exchange").and_then(Json::as_str), Some("delta"));
+        assert_eq!(v.get("slo").and_then(Value::as_str), Some("fastest-wall"));
+        assert_eq!(v.get("scheme").and_then(Value::as_str), Some("csrcolor"));
+        assert_eq!(v.get("backend").and_then(Value::as_str), Some("simt"));
+        assert_eq!(v.get("shards").and_then(Value::as_u64), Some(2));
+        assert_eq!(v.get("exchange").and_then(Value::as_str), Some("delta"));
         assert!(v.get("predicted_ms").is_some() && v.get("predicted_colors").is_some());
     }
 
@@ -874,18 +920,18 @@ mod tests {
         let g = Csr::try_new(vec![0, 1, 2], vec![1, 0]).unwrap();
         let line = load_response(Some(4), GraphFormat::Metis, &g);
         assert!(!line.contains('\n'));
-        let v = crate::json::parse(&line).unwrap();
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(v.get("status").and_then(Json::as_str), Some("loaded"));
-        assert_eq!(v.get("format").and_then(Json::as_str), Some("metis"));
+        let v = serde_json::from_str(&line).unwrap();
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("status").and_then(Value::as_str), Some("loaded"));
+        assert_eq!(v.get("format").and_then(Value::as_str), Some("metis"));
         assert_eq!(
-            v.get("graph_fingerprint").and_then(Json::as_str),
+            v.get("graph_fingerprint").and_then(Value::as_str),
             Some(format!("{:016x}", g.content_fingerprint()).as_str())
         );
-        assert_eq!(v.get("vertices").and_then(Json::as_u64), Some(2));
-        let ack = crate::json::parse(&loading_response(None, 512)).unwrap();
-        assert_eq!(ack.get("status").and_then(Json::as_str), Some("loading"));
-        assert_eq!(ack.get("bytes").and_then(Json::as_u64), Some(512));
+        assert_eq!(v.get("vertices").and_then(Value::as_u64), Some(2));
+        let ack = serde_json::from_str(&loading_response(None, 512)).unwrap();
+        assert_eq!(ack.get("status").and_then(Value::as_str), Some("loading"));
+        assert_eq!(ack.get("bytes").and_then(Value::as_u64), Some(512));
     }
 
     #[test]
@@ -992,9 +1038,9 @@ mod tests {
     fn response_lines_are_single_line_json() {
         let err = error_response(Some(3), "queue-full", "queue full (capacity 1)");
         assert!(!err.contains('\n'));
-        let v = crate::json::parse(&err).unwrap();
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(v.get("id").and_then(Json::as_u64), Some(3));
-        assert_eq!(v.get("error").and_then(Json::as_str), Some("queue-full"));
+        let v = serde_json::from_str(&err).unwrap();
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
+        assert_eq!(v.get("id").and_then(Value::as_u64), Some(3));
+        assert_eq!(v.get("error").and_then(Value::as_str), Some("queue-full"));
     }
 }

@@ -3,8 +3,8 @@
 //! (responses to accepted jobs may arrive in any order).
 
 use gcol_graph::gen::{self, RmatParams};
-use gcol_serve::json::{self, Json};
 use gcol_serve::{serve_lines, Service, ServiceConfig};
+use serde_json::Value;
 use std::collections::HashMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -23,7 +23,7 @@ impl Write for SharedBuf {
     }
 }
 
-fn run_session(input: &str) -> (Vec<Json>, gcol_serve::ServiceStats) {
+fn run_session(input: &str) -> (Vec<Value>, gcol_serve::ServiceStats) {
     run_session_with(
         ServiceConfig {
             num_workers: 2,
@@ -33,7 +33,7 @@ fn run_session(input: &str) -> (Vec<Json>, gcol_serve::ServiceStats) {
     )
 }
 
-fn run_session_with(config: ServiceConfig, input: &str) -> (Vec<Json>, gcol_serve::ServiceStats) {
+fn run_session_with(config: ServiceConfig, input: &str) -> (Vec<Value>, gcol_serve::ServiceStats) {
     let svc = Service::start(config);
     let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
     let resolve = |name: &str, scale: u32, seed: u64| match name {
@@ -45,15 +45,15 @@ fn run_session_with(config: ServiceConfig, input: &str) -> (Vec<Json>, gcol_serv
     let lines = String::from_utf8(bytes)
         .unwrap()
         .lines()
-        .map(|l| json::parse(l).expect("every response line is valid JSON"))
+        .map(|l| serde_json::from_str(l).expect("every response line is valid JSON"))
         .collect();
     (lines, stats)
 }
 
-fn by_id(lines: &[Json]) -> HashMap<u64, &Json> {
+fn by_id(lines: &[Value]) -> HashMap<u64, &Value> {
     lines
         .iter()
-        .filter_map(|l| l.get("id").and_then(Json::as_u64).map(|id| (id, l)))
+        .filter_map(|l| l.get("id").and_then(Value::as_u64).map(|id| (id, l)))
         .collect()
 }
 
@@ -76,29 +76,29 @@ fn scripted_session_colors_inline_and_named_graphs() {
     let resp = by_id(&lines);
 
     let r1 = resp[&1];
-    assert_eq!(r1.get("ok").and_then(Json::as_bool), Some(true));
-    assert!(r1.get("colors").and_then(Json::as_u64).unwrap() >= 3);
+    assert_eq!(r1.get("ok").and_then(Value::as_bool), Some(true));
+    assert!(r1.get("colors").and_then(Value::as_u64).unwrap() >= 3);
     let assignment = r1
         .get("assignment")
-        .and_then(Json::as_arr)
+        .and_then(Value::as_arr)
         .expect("assignment requested");
     assert_eq!(assignment.len(), 5);
-    assert_eq!(r1.get("source").and_then(Json::as_str), Some("cold"));
+    assert_eq!(r1.get("source").and_then(Value::as_str), Some("cold"));
 
     let r2 = resp[&2];
     let r3 = resp[&3];
-    assert_eq!(r2.get("ok").and_then(Json::as_bool), Some(true));
-    assert_eq!(r3.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(r2.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(r3.get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(
-        r2.get("colors").and_then(Json::as_u64),
-        r3.get("colors").and_then(Json::as_u64)
+        r2.get("colors").and_then(Value::as_u64),
+        r3.get("colors").and_then(Value::as_u64)
     );
     assert_eq!(
-        r2.get("fingerprint").and_then(Json::as_str),
-        r3.get("fingerprint").and_then(Json::as_str),
+        r2.get("fingerprint").and_then(Value::as_str),
+        r3.get("fingerprint").and_then(Value::as_str),
         "identical requests share a fingerprint"
     );
-    let src3 = r3.get("source").and_then(Json::as_str).unwrap();
+    let src3 = r3.get("source").and_then(Value::as_str).unwrap();
     assert!(
         src3 == "cache-hit" || src3 == "coalesced",
         "repeat must reuse work, got {src3}"
@@ -107,8 +107,8 @@ fn scripted_session_colors_inline_and_named_graphs() {
     // The stats line is a snapshot taken mid-session: only fields that
     // are stable at that point are asserted.
     let r4 = resp[&4];
-    assert_eq!(r4.get("ok").and_then(Json::as_bool), Some(true));
-    assert!(r4.get("accepted").and_then(Json::as_u64).unwrap() >= 1);
+    assert_eq!(r4.get("ok").and_then(Value::as_bool), Some(true));
+    assert!(r4.get("accepted").and_then(Value::as_u64).unwrap() >= 1);
 
     // Final drained stats: 3 accepted color jobs, 2 executions (the
     // repeat reused one), nothing rejected.
@@ -135,14 +135,19 @@ fn exchange_kind_is_part_of_the_cache_fingerprint() {
     let (lines, stats) = run_session(input);
     let resp = by_id(&lines);
     for id in 1..=3 {
-        assert_eq!(resp[&id].get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(resp[&id].get("ok").and_then(Value::as_bool), Some(true));
     }
-    let fp = |id: u64| resp[&id].get("fingerprint").and_then(Json::as_str).unwrap();
+    let fp = |id: u64| {
+        resp[&id]
+            .get("fingerprint")
+            .and_then(Value::as_str)
+            .unwrap()
+    };
     assert_ne!(fp(1), fp(2), "exchange kind must separate fingerprints");
     assert_eq!(fp(1), fp(3), "delta is the default exchange kind");
     assert_eq!(
-        resp[&1].get("colors").and_then(Json::as_u64),
-        resp[&2].get("colors").and_then(Json::as_u64),
+        resp[&1].get("colors").and_then(Value::as_u64),
+        resp[&2].get("colors").and_then(Value::as_u64),
         "wire format must not change the coloring"
     );
     // Jobs 1 and 3 share a fingerprint; job 2 is its own execution.
@@ -179,41 +184,44 @@ fn mutate_and_recolor_drive_an_incremental_session() {
     let resp = by_id(&lines);
     for id in 1..=7 {
         assert_eq!(
-            resp[&id].get("ok").and_then(Json::as_bool),
+            resp[&id].get("ok").and_then(Value::as_bool),
             Some(true),
             "response {id} failed: {:?}",
             resp[&id]
         );
     }
-    assert_eq!(resp[&1].get("touched").and_then(Json::as_u64), Some(0));
-    assert_eq!(resp[&1].get("vertices").and_then(Json::as_u64), Some(5));
+    assert_eq!(resp[&1].get("touched").and_then(Value::as_u64), Some(0));
+    assert_eq!(resp[&1].get("vertices").and_then(Value::as_u64), Some(5));
     assert_eq!(
-        resp[&2].get("source").and_then(Json::as_str),
+        resp[&2].get("source").and_then(Value::as_str),
         Some("scratch")
     );
     assert_eq!(
-        resp[&3].get("source").and_then(Json::as_str),
+        resp[&3].get("source").and_then(Value::as_str),
         Some("session")
     );
     assert_eq!(
-        resp[&3].get("colors").and_then(Json::as_u64),
-        resp[&2].get("colors").and_then(Json::as_u64)
+        resp[&3].get("colors").and_then(Value::as_u64),
+        resp[&2].get("colors").and_then(Value::as_u64)
     );
     // The mutate rolled the graph's content fingerprint: cache keys for
     // the old graph can never serve the new one.
-    assert_eq!(resp[&4].get("touched").and_then(Json::as_u64), Some(2));
+    assert_eq!(resp[&4].get("touched").and_then(Value::as_u64), Some(2));
     assert_ne!(
-        resp[&1].get("graph_fingerprint").and_then(Json::as_str),
-        resp[&4].get("graph_fingerprint").and_then(Json::as_str)
+        resp[&1].get("graph_fingerprint").and_then(Value::as_str),
+        resp[&4].get("graph_fingerprint").and_then(Value::as_str)
     );
-    assert_eq!(resp[&4].get("edges").and_then(Json::as_u64), Some(16));
+    assert_eq!(resp[&4].get("edges").and_then(Value::as_u64), Some(16));
     // The delta repair consumed the two touched vertices and produced a
     // proper coloring of the edited graph (0 and 3 now adjacent).
-    assert_eq!(resp[&5].get("source").and_then(Json::as_str), Some("delta"));
-    assert_eq!(resp[&5].get("repaired").and_then(Json::as_u64), Some(2));
-    let colors = |r: &Json| -> Vec<u64> {
+    assert_eq!(
+        resp[&5].get("source").and_then(Value::as_str),
+        Some("delta")
+    );
+    assert_eq!(resp[&5].get("repaired").and_then(Value::as_u64), Some(2));
+    let colors = |r: &Value| -> Vec<u64> {
         r.get("assignment")
-            .and_then(Json::as_arr)
+            .and_then(Value::as_arr)
             .unwrap()
             .iter()
             .map(|c| c.as_u64().unwrap())
@@ -225,10 +233,10 @@ fn mutate_and_recolor_drive_an_incremental_session() {
         assert_eq!(before[v], after[v], "untouched vertex {v} recolored");
     }
     assert_eq!(
-        resp[&6].get("source").and_then(Json::as_str),
+        resp[&6].get("source").and_then(Value::as_str),
         Some("scratch")
     );
-    assert_eq!(resp[&7].get("touched").and_then(Json::as_u64), Some(0));
+    assert_eq!(resp[&7].get("touched").and_then(Value::as_u64), Some(0));
 }
 
 #[test]
@@ -247,21 +255,21 @@ fn session_verbs_fail_cleanly_without_a_session_graph() {
     let (lines, _) = run_session(input);
     let resp = by_id(&lines);
     assert_eq!(
-        resp[&1].get("error").and_then(Json::as_str),
+        resp[&1].get("error").and_then(Value::as_str),
         Some("no-graph")
     );
     assert_eq!(
-        resp[&2].get("error").and_then(Json::as_str),
+        resp[&2].get("error").and_then(Value::as_str),
         Some("no-graph")
     );
     assert_eq!(
-        resp[&3].get("error").and_then(Json::as_str),
+        resp[&3].get("error").and_then(Value::as_str),
         Some("bad-edit")
     );
     // The rejected batch left the freshly loaded graph intact.
-    assert_eq!(resp[&4].get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(resp[&4].get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(
-        resp[&4].get("source").and_then(Json::as_str),
+        resp[&4].get("source").and_then(Value::as_str),
         Some("scratch")
     );
 }
@@ -279,15 +287,15 @@ fn bad_lines_get_typed_errors_and_do_not_kill_the_session() {
     assert!(
         lines
             .iter()
-            .any(|l| l.get("error").and_then(Json::as_str) == Some("bad-request")),
+            .any(|l| l.get("error").and_then(Value::as_str) == Some("bad-request")),
         "malformed line must produce a bad-request error"
     );
     let resp = by_id(&lines);
     assert_eq!(
-        resp[&7].get("error").and_then(Json::as_str),
+        resp[&7].get("error").and_then(Value::as_str),
         Some("unknown-graph")
     );
-    assert_eq!(resp[&8].get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(resp[&8].get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(stats.accepted, 1);
 }
 
@@ -312,12 +320,12 @@ fn out_of_range_block_is_a_bad_request() {
         .expect("session hung after an out-of-range block");
     assert_eq!(lines.len(), 3, "one line per request: {lines:?}");
     for l in &lines[..2] {
-        assert_eq!(l.get("error").and_then(Json::as_str), Some("bad-request"));
-        let msg = l.get("detail").and_then(Json::as_str).unwrap_or("");
+        assert_eq!(l.get("error").and_then(Value::as_str), Some("bad-request"));
+        let msg = l.get("detail").and_then(Value::as_str).unwrap_or("");
         assert!(msg.contains("block"), "{msg}");
     }
-    assert_eq!(lines[2].get("id").and_then(Json::as_u64), Some(3));
-    assert_eq!(lines[2].get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(lines[2].get("id").and_then(Value::as_u64), Some(3));
+    assert_eq!(lines[2].get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(stats.submitted, 0);
 }
 
@@ -354,44 +362,44 @@ fn load_colors_and_caches_by_content_fingerprint() {
     let resp = by_id(&lines);
 
     let r1 = resp[&1];
-    assert_eq!(r1.get("ok").and_then(Json::as_bool), Some(true), "{r1:?}");
-    assert_eq!(r1.get("status").and_then(Json::as_str), Some("loaded"));
-    assert_eq!(r1.get("format").and_then(Json::as_str), Some("dimacs"));
-    assert_eq!(r1.get("vertices").and_then(Json::as_u64), Some(5));
-    assert_eq!(r1.get("edges").and_then(Json::as_u64), Some(14));
+    assert_eq!(r1.get("ok").and_then(Value::as_bool), Some(true), "{r1:?}");
+    assert_eq!(r1.get("status").and_then(Value::as_str), Some("loaded"));
+    assert_eq!(r1.get("format").and_then(Value::as_str), Some("dimacs"));
+    assert_eq!(r1.get("vertices").and_then(Value::as_u64), Some(5));
+    assert_eq!(r1.get("edges").and_then(Value::as_u64), Some(14));
 
-    assert_eq!(resp[&2].get("ok").and_then(Json::as_bool), Some(true));
-    assert_eq!(resp[&2].get("source").and_then(Json::as_str), Some("cold"));
+    assert_eq!(resp[&2].get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(resp[&2].get("source").and_then(Value::as_str), Some("cold"));
 
     // The chunk ack reports buffered bytes, the final chunk the graph.
     assert_eq!(
-        resp[&3].get("status").and_then(Json::as_str),
+        resp[&3].get("status").and_then(Value::as_str),
         Some("loading")
     );
-    assert!(resp[&3].get("bytes").and_then(Json::as_u64).unwrap() > 0);
+    assert!(resp[&3].get("bytes").and_then(Value::as_u64).unwrap() > 0);
     assert_eq!(
-        resp[&4].get("status").and_then(Json::as_str),
+        resp[&4].get("status").and_then(Value::as_str),
         Some("loaded")
     );
     assert_eq!(
-        resp[&4].get("format").and_then(Json::as_str),
+        resp[&4].get("format").and_then(Value::as_str),
         Some("dimacs")
     );
     assert_eq!(
-        resp[&4].get("graph_fingerprint").and_then(Json::as_str),
-        r1.get("graph_fingerprint").and_then(Json::as_str),
+        resp[&4].get("graph_fingerprint").and_then(Value::as_str),
+        r1.get("graph_fingerprint").and_then(Value::as_str),
         "identical bytes must produce the identical content fingerprint"
     );
 
-    assert_eq!(resp[&5].get("ok").and_then(Json::as_bool), Some(true));
-    let src5 = resp[&5].get("source").and_then(Json::as_str).unwrap();
+    assert_eq!(resp[&5].get("ok").and_then(Value::as_bool), Some(true));
+    let src5 = resp[&5].get("source").and_then(Value::as_str).unwrap();
     assert!(
         src5 == "cache-hit" || src5 == "coalesced",
         "re-loading the same bytes must reuse the cached/in-flight run, got {src5}"
     );
     assert_eq!(
-        resp[&2].get("fingerprint").and_then(Json::as_str),
-        resp[&5].get("fingerprint").and_then(Json::as_str)
+        resp[&2].get("fingerprint").and_then(Value::as_str),
+        resp[&5].get("fingerprint").and_then(Value::as_str)
     );
     assert_eq!(stats.executions, 1);
     assert_eq!(stats.cache_hits + stats.coalesced, 1);
@@ -426,23 +434,23 @@ fn oversize_upload_is_cut_off_mid_stream() {
     );
     let resp = by_id(&lines);
     assert_eq!(
-        resp[&1].get("status").and_then(Json::as_str),
+        resp[&1].get("status").and_then(Value::as_str),
         Some("loading")
     );
     assert_eq!(
-        resp[&2].get("error").and_then(Json::as_str),
+        resp[&2].get("error").and_then(Value::as_str),
         Some("upload-too-large"),
         "{:?}",
         resp[&2]
     );
     assert_eq!(
-        resp[&3].get("ok").and_then(Json::as_bool),
+        resp[&3].get("ok").and_then(Value::as_bool),
         Some(true),
         "{:?}",
         resp[&3]
     );
-    assert_eq!(resp[&3].get("vertices").and_then(Json::as_u64), Some(2));
-    assert_eq!(resp[&4].get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(resp[&3].get("vertices").and_then(Value::as_u64), Some(2));
+    assert_eq!(resp[&4].get("ok").and_then(Value::as_bool), Some(true));
 }
 
 #[test]
@@ -477,35 +485,35 @@ fn bad_uploads_fail_typed_and_the_connection_recovers() {
     );
     let resp = by_id(&lines);
     assert_eq!(
-        resp[&1].get("error").and_then(Json::as_str),
+        resp[&1].get("error").and_then(Value::as_str),
         Some("graph-too-large"),
         "{:?}",
         resp[&1]
     );
     assert_eq!(
-        resp[&2].get("error").and_then(Json::as_str),
+        resp[&2].get("error").and_then(Value::as_str),
         Some("bad-graph")
     );
     assert!(
         resp[&2]
             .get("detail")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .unwrap()
             .contains("line"),
         "parse errors carry the offending line: {:?}",
         resp[&2]
     );
     assert_eq!(
-        resp[&3].get("error").and_then(Json::as_str),
+        resp[&3].get("error").and_then(Value::as_str),
         Some("bad-graph")
     );
     assert_eq!(
-        resp[&4].get("ok").and_then(Json::as_bool),
+        resp[&4].get("ok").and_then(Value::as_bool),
         Some(true),
         "{:?}",
         resp[&4]
     );
-    assert_eq!(resp[&5].get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(resp[&5].get("ok").and_then(Value::as_bool), Some(true));
 }
 
 #[test]
@@ -529,27 +537,30 @@ fn load_feeds_the_incremental_session() {
     let resp = by_id(&lines);
     for id in 1..=4 {
         assert_eq!(
-            resp[&id].get("ok").and_then(Json::as_bool),
+            resp[&id].get("ok").and_then(Value::as_bool),
             Some(true),
             "response {id} failed: {:?}",
             resp[&id]
         );
     }
     assert_eq!(
-        resp[&2].get("source").and_then(Json::as_str),
+        resp[&2].get("source").and_then(Value::as_str),
         Some("scratch")
     );
     // The edit rolled the fingerprint the load reported.
     assert_ne!(
-        resp[&3].get("graph_fingerprint").and_then(Json::as_str),
-        resp[&1].get("graph_fingerprint").and_then(Json::as_str)
+        resp[&3].get("graph_fingerprint").and_then(Value::as_str),
+        resp[&1].get("graph_fingerprint").and_then(Value::as_str)
     );
-    assert_eq!(resp[&3].get("touched").and_then(Json::as_u64), Some(2));
-    assert_eq!(resp[&4].get("source").and_then(Json::as_str), Some("delta"));
-    assert_eq!(resp[&4].get("repaired").and_then(Json::as_u64), Some(2));
-    let colors = |r: &Json| -> Vec<u64> {
+    assert_eq!(resp[&3].get("touched").and_then(Value::as_u64), Some(2));
+    assert_eq!(
+        resp[&4].get("source").and_then(Value::as_str),
+        Some("delta")
+    );
+    assert_eq!(resp[&4].get("repaired").and_then(Value::as_u64), Some(2));
+    let colors = |r: &Value| -> Vec<u64> {
         r.get("assignment")
-            .and_then(Json::as_arr)
+            .and_then(Value::as_arr)
             .unwrap()
             .iter()
             .map(|c| c.as_u64().unwrap())
@@ -572,9 +583,9 @@ fn shutdown_request_acks_and_stops_reading() {
     );
     let (lines, stats) = run_session(input);
     let resp = by_id(&lines);
-    assert_eq!(resp[&1].get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(resp[&1].get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(
-        resp[&2].get("status").and_then(Json::as_str),
+        resp[&2].get("status").and_then(Value::as_str),
         Some("draining")
     );
     assert!(
@@ -666,24 +677,24 @@ fn upload_in_progress_when_drain_fires_resolves_typed() {
     };
     let stats = serve_lines(svc, reader, buf.clone(), &resolve).unwrap();
     let bytes = buf.0.lock().unwrap().clone();
-    let lines: Vec<Json> = String::from_utf8(bytes)
+    let lines: Vec<Value> = String::from_utf8(bytes)
         .unwrap()
         .lines()
-        .map(|l| json::parse(l).expect("valid JSON"))
+        .map(|l| serde_json::from_str(l).expect("valid JSON"))
         .collect();
     let resp = by_id(&lines);
     assert_eq!(
-        resp[&1].get("status").and_then(Json::as_str),
+        resp[&1].get("status").and_then(Value::as_str),
         Some("loading"),
         "pre-drain chunk was accepted"
     );
     assert_eq!(
-        resp[&2].get("error").and_then(Json::as_str),
+        resp[&2].get("error").and_then(Value::as_str),
         Some("shutting-down"),
         "mid-upload drain resolves the upload with the typed rejection"
     );
     assert_eq!(
-        resp[&3].get("error").and_then(Json::as_str),
+        resp[&3].get("error").and_then(Value::as_str),
         Some("shutting-down"),
         "post-drain submissions are rejected the same way"
     );
@@ -712,32 +723,35 @@ fn auto_requests_echo_the_plan_and_share_one_execution() {
     let resp = by_id(&lines);
 
     let r1 = resp[&1];
-    assert_eq!(r1.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(r1.get("ok").and_then(Value::as_bool), Some(true));
     let plan = r1.get("plan").expect("auto responses echo the plan");
-    assert_eq!(plan.get("slo").and_then(Json::as_str), Some("fastest-wall"));
+    assert_eq!(
+        plan.get("slo").and_then(Value::as_str),
+        Some("fastest-wall")
+    );
     let planned_scheme = plan
         .get("scheme")
-        .and_then(Json::as_str)
+        .and_then(Value::as_str)
         .expect("plan.scheme");
     assert_eq!(
-        plan.get("backend").and_then(Json::as_str),
+        plan.get("backend").and_then(Value::as_str),
         Some("simt"),
         "the request's backend field is the auto envelope"
     );
-    assert!(plan.get("shards").and_then(Json::as_u64).unwrap() >= 1);
-    assert!(plan.get("exchange").and_then(Json::as_str).is_some());
+    assert!(plan.get("shards").and_then(Value::as_u64).unwrap() >= 1);
+    assert!(plan.get("exchange").and_then(Value::as_str).is_some());
     assert!(plan
         .get("predicted_ms")
-        .and_then(Json::as_f64)
+        .and_then(Value::as_f64)
         .unwrap()
         .is_finite());
     assert!(plan
         .get("predicted_colors")
-        .and_then(Json::as_f64)
+        .and_then(Value::as_f64)
         .unwrap()
         .is_finite());
     assert_eq!(
-        r1.get("scheme").and_then(Json::as_str),
+        r1.get("scheme").and_then(Value::as_str),
         Some(planned_scheme),
         "the job that ran is the one the plan named"
     );
@@ -749,7 +763,7 @@ fn auto_requests_echo_the_plan_and_share_one_execution() {
     assert_eq!(r2.get("fingerprint"), r1.get("fingerprint"));
     let sources: Vec<&str> = [r1, r2]
         .iter()
-        .map(|r| r.get("source").and_then(Json::as_str).unwrap())
+        .map(|r| r.get("source").and_then(Value::as_str).unwrap())
         .collect();
     assert_eq!(
         sources.iter().filter(|s| **s == "cold").count(),
@@ -761,7 +775,10 @@ fn auto_requests_echo_the_plan_and_share_one_execution() {
     assert!(resp[&3].get("plan").is_none());
 
     // Observability: both wire stats and the final snapshot count them.
-    assert_eq!(resp[&4].get("auto_planned").and_then(Json::as_u64), Some(2));
+    assert_eq!(
+        resp[&4].get("auto_planned").and_then(Value::as_u64),
+        Some(2)
+    );
     assert_eq!(stats.auto_planned, 2);
 }
 
@@ -778,14 +795,14 @@ fn auto_is_bit_identical_to_its_resolved_explicit_request() {
     let (lines, _) = run_session(&format!("{auto_line}\n"));
     let resp = by_id(&lines);
     let a1 = resp[&1];
-    assert_eq!(a1.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(a1.get("ok").and_then(Value::as_bool), Some(true));
     let plan = a1.get("plan").expect("auto responses echo the plan");
     let explicit_line = format!(
         r#"{{"id":1,"op":"color","graph":{{"gen":"rmat","scale":8,"seed":3}},"scheme":"{}","backend":"{}","shards":{},"exchange":"{}","seed":7,"assignment":true}}"#,
-        plan.get("scheme").and_then(Json::as_str).unwrap(),
-        plan.get("backend").and_then(Json::as_str).unwrap(),
-        plan.get("shards").and_then(Json::as_u64).unwrap(),
-        plan.get("exchange").and_then(Json::as_str).unwrap(),
+        plan.get("scheme").and_then(Value::as_str).unwrap(),
+        plan.get("backend").and_then(Value::as_str).unwrap(),
+        plan.get("shards").and_then(Value::as_u64).unwrap(),
+        plan.get("exchange").and_then(Value::as_str).unwrap(),
     );
 
     // Session B (fresh cache): the explicit job first, then the auto
@@ -794,7 +811,7 @@ fn auto_is_bit_identical_to_its_resolved_explicit_request() {
     let resp = by_id(&lines);
     let (b1, b2) = (resp[&1], resp[&12]);
     for r in [b1, b2] {
-        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(
             r.get("fingerprint"),
             a1.get("fingerprint"),
@@ -809,7 +826,7 @@ fn auto_is_bit_identical_to_its_resolved_explicit_request() {
     assert_eq!(b2.get("plan"), a1.get("plan"), "planning is deterministic");
     assert!(b1.get("plan").is_none());
     assert_ne!(
-        b2.get("source").and_then(Json::as_str),
+        b2.get("source").and_then(Value::as_str),
         Some("cold"),
         "the auto twin of an explicit job shares its execution"
     );

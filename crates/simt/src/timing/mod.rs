@@ -39,10 +39,10 @@ use crate::trace::{OpKind, WarpTrace, KIND_ORDER, MAX_WARP_LANES};
 pub(crate) use batch::{ReplayBatch, ReplayCursor};
 use cache::Cache;
 use occupancy::Occupancy;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fraction-of-stalls breakdown in the style of Fig. 3(b).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub struct StallBreakdown {
     /// Waiting on outstanding memory (the dominant reason in the paper).
     pub memory_dependency: f64,
@@ -57,7 +57,7 @@ pub struct StallBreakdown {
 }
 
 /// Aggregate result of one kernel launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KernelStats {
     /// Kernel name.
     pub name: String,
